@@ -16,12 +16,15 @@ perfbench/README.md for what each workload and metric measures.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import re
+import select
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -36,25 +39,32 @@ WORKLOADS = ("reduce", "stream", "serve")
 
 # Every end-to-end metric in BENCHMARK.json, its unit, and which way is
 # better. Each workload reports all of them; README.md gives the
-# per-workload meaning.
+# per-workload meaning. Times are scaled to the reference host speed
+# (src/host_probe.h).
 E2E = {
     "setup_s": ("s", "lower"),
-    "wall_s.t1": ("s", "lower"),
-    "wall_s.t4": ("s", "lower"),
+    "norm_s.t1": ("s", "lower"),
+    "norm_s.t2": ("s", "lower"),
     "weight_ratio.min": ("ratio", "higher"),
     "rss_mb": ("MB", "lower"),
-    "p50_ms.lo": ("ms", "lower"),
-    "sat_rps": ("req/s", "higher"),
     "ok_frac": ("ratio", "higher"),
 }
 
-# Measured and printed with the end-to-end metrics but not gated: their
-# run-to-run spread on a shared 4-CPU host exceeded the largest bound the
-# benchmark may set (README.md, "Noise").
+# Measured and printed with the end-to-end metrics but not gated: the times
+# as measured, before scaling, which drift with the shared host's speed, and
+# serving percentiles and saturation, whose run-to-run spread on a shared
+# 4-CPU host exceeded the largest bound the benchmark may set (README.md,
+# "Noise").
 E2E_UNGATED = {
+    "setup_s.raw": "s",
+    "wall_s.t1": "s",
+    "wall_s.t2": "s",
+    "probe_ms": "ms",
+    "p50_ms.lo": "ms",
     "p99_ms.lo": "ms",
     "p50_ms.hi": "ms",
     "p99_ms.hi": "ms",
+    "sat_rps": "req/s",
 }
 
 # Every per-layer metric and its unit. A layer a workload does not run
@@ -97,13 +107,7 @@ LAYERS = {
     "trace.overhead_frac": "ratio",
 }
 
-# serve: the two fixed offered rates (40% and 80% of the 1.1-1.4k req/s
-# saturation loadgen reported for this server) and the p99 limit that
-# defines sat_rps.
-SERVE_RATE_LO = 500
-SERVE_RATE_HI = 1000
-SERVE_P99_LIMIT_MS = 50
-SERVE_SETUPS = 3
+SERVE_SETUPS = 15
 CHILD_TIMEOUT_S = 170
 
 # The reduce cells are the ci preset's; their counters must equal the
@@ -165,16 +169,28 @@ def build():
     RUN_DIR.mkdir(parents=True, exist_ok=True)
 
 
+@contextlib.contextmanager
+def pinned(cpus):
+    """Runs the block with this process pinned to `cpus` (when given), so
+    that a child started inside inherits the pinning without a
+    preexec_fn."""
+    mask = os.sched_getaffinity(0)
+    if cpus:
+        os.sched_setaffinity(0, cpus)
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, mask)
+
+
 def spawn(cmd, name, cpus=None):
     """Starts a child with stdout and stderr in RUN_DIR/<name>.out/.err,
     pinned to `cpus` when given."""
-    def pin():
-        if cpus:
-            os.sched_setaffinity(0, cpus)
     out = open(RUN_DIR / f"{name}.out", "w")
     err = open(RUN_DIR / f"{name}.err", "w")
     try:
-        return subprocess.Popen(cmd, stdout=out, stderr=err, preexec_fn=pin)
+        with pinned(cpus):
+            return subprocess.Popen(cmd, stdout=out, stderr=err)
     finally:
         out.close()
         err.close()
@@ -192,9 +208,10 @@ def reap(proc, timeout_s=CHILD_TIMEOUT_S):
 
 
 def peak_rss_mb(pid):
-    """VmHWM of a running process, in MB."""
-    status = Path(f"/proc/{pid}/status").read_text()
-    return int(re.search(r"VmHWM:\s+(\d+) kB", status).group(1)) / 1024.0
+    """VmHWM of a running process, in MB; 0 once it has exited."""
+    found = re.search(r"VmHWM:\s+(\d+) kB",
+                      Path(f"/proc/{pid}/status").read_text())
+    return int(found.group(1)) / 1024.0 if found else 0.0
 
 
 def read_report(name, code):
@@ -211,34 +228,61 @@ def run_perf(args, name, cpus=None):
 
 
 class Server:
-    """`wmatch_cli serve --listen=0 --jobs=2` pinned to `cpus`."""
+    """`wmatch_cli serve --listen=0 --jobs=2` pinned to `cpus`. start_s runs
+    from just before the spawn to the moment the server's "listening on"
+    line arrives on its stderr pipe; a thread then copies the rest of the
+    stderr to RUN_DIR/<name>.err."""
 
     def __init__(self, name, cpus, extra=()):
-        self.t0 = time.monotonic()
-        self.proc = spawn([str(CLI), "serve", "--listen=0", "--jobs=2",
-                           *extra], name, cpus)
-        self.port = None
-        deadline = self.t0 + 10
-        while self.port is None:
-            text = (RUN_DIR / f"{name}.err").read_text()
-            found = re.search(r"listening on 127\.0\.0\.1:(\d+)", text)
-            if found:
-                self.port = int(found.group(1))
-            elif self.proc.poll() is not None or time.monotonic() > deadline:
-                self.proc.kill()
-                self.proc.wait()
-                raise BenchError("serve did not start: " + text[-500:])
-            else:
-                time.sleep(0.005)
-        self.start_s = time.monotonic() - self.t0
+        with open(RUN_DIR / f"{name}.out", "w") as out, pinned(cpus):
+            t0 = time.monotonic()
+            self.proc = subprocess.Popen(
+                [str(CLI), "serve", "--listen=0", "--jobs=2", *extra],
+                stdout=out, stderr=subprocess.PIPE)
+        fd = self.proc.stderr.fileno()
+        text = b""
+        deadline = t0 + 10
+        while not (found := re.search(rb"listening on 127\.0\.0\.1:(\d+)\n",
+                                      text)):
+            left = deadline - time.monotonic()
+            ready = left > 0 and select.select([fd], [], [], left)[0]
+            chunk = os.read(fd, 65536) if ready else b""
+            if not chunk:
+                self.close()
+                raise BenchError("serve did not start: "
+                                 + text[-500:].decode(errors="replace"))
+            text += chunk
+        self.start_s = time.monotonic() - t0
+        self.port = int(found.group(1))
+        self.copier = threading.Thread(
+            target=self._copy_stderr, args=(RUN_DIR / f"{name}.err", text))
+        self.copier.start()
+
+    def _copy_stderr(self, path, head):
+        with open(path, "wb") as err:
+            err.write(head)
+            for chunk in iter(lambda: self.proc.stderr.read1(65536), b""):
+                err.write(chunk)
 
     def stop(self):
         """Drains the server; returns its peak RSS in MB."""
         rss_mb = peak_rss_mb(self.proc.pid)
         self.proc.send_signal(signal.SIGTERM)
-        if reap(self.proc, 30) != 0:
-            raise BenchError(f"serve exited {self.proc.returncode}")
+        code = reap(self.proc, 30)
+        self.close()
+        if code != 0:
+            raise BenchError(f"serve exited {code}")
         return rss_mb
+
+    def close(self):
+        """Kills the server if it still runs and waits for it and for the
+        stderr copy."""
+        if self.proc.poll() is None:
+            self.proc.kill()
+        self.proc.wait()
+        if getattr(self, "copier", None):
+            self.copier.join()
+        self.proc.stderr.close()
 
 
 def cpu_split():
@@ -252,28 +296,42 @@ def cpu_split():
 
 def run_serve(seed, seconds, trace):
     server_cpus, client_cpus = cpu_split()
-    client = ["serve-client", f"--seed={seed}", f"--seconds={seconds}",
-              f"--lo={SERVE_RATE_LO}", f"--hi={SERVE_RATE_HI}",
-              f"--p99-limit-ms={SERVE_P99_LIMIT_MS}"]
+    client = ["serve-client", f"--seed={seed}", f"--seconds={seconds}"]
     servers = []
+    setup_s = []
+
+    def set_up():
+        """One timed set-up: server start + cache warm-up. Returns the
+        running server and the warm-up client's report."""
+        i = len(setup_s)
+        server = Server(f"serve{i}", server_cpus)
+        servers.append(server)
+        warm = run_perf(client + [f"--port={server.port}", "--phases=warm"],
+                        f"warm{i}", client_cpus)
+        setup_s.append(server.start_s + warm["e2e"].get("warm_s", 0.0))
+        return server, warm
+
     try:
-        # Set-up: server start + cache warm-up, repeated; the last server
-        # stays up for the measurement.
-        setup_s = []
-        for i in range(SERVE_SETUPS):
-            server = Server(f"serve{i}", server_cpus)
-            servers.append(server)
-            warm = run_perf(client + [f"--port={server.port}", "--phases=warm"],
-                            f"warm{i}", client_cpus)
+        # Set-ups before and after the measurement, so that they sample
+        # the host at two moments; the last one before it keeps its server
+        # for the measurement.
+        for i in range(SERVE_SETUPS // 2 + 1):
+            server, warm = set_up()
             if warm["errors"]:
-                raise BenchError("warm-up failed: " + warm["errors"][0])
-            setup_s.append(server.start_s + warm["e2e"]["warm_s"])
-            if i + 1 < SERVE_SETUPS:
+                return warm
+            if i < SERVE_SETUPS // 2:
                 server.stop()
         report = run_perf(client + [f"--port={server.port}"], "client",
                           client_cpus)
         report["e2e"]["rss_mb"] = server.stop()
-        report["e2e"]["setup_s"] = sorted(setup_s)[len(setup_s) // 2]
+        while len(setup_s) < SERVE_SETUPS:
+            server, warm = set_up()
+            server.stop()
+            report["errors"] += warm["errors"]
+        # The median set-up, scaled by the client's host-speed factor.
+        raw = sorted(setup_s)[len(setup_s) // 2]
+        report["e2e"]["setup_s.raw"] = raw
+        report["e2e"]["setup_s"] = raw * report["e2e"].get("host_factor", 1.0)
         if trace:
             # The same closed-loop pass against a server writing a trace.
             traced = Server("serve-traced", server_cpus,
@@ -284,14 +342,14 @@ def run_serve(seed, seconds, trace):
                               client_cpus)
             traced.stop()
             report["errors"] += closed["errors"]
-            report["layers"]["trace.overhead_frac"] = (
-                closed["e2e"]["wall_s.t1"] / report["e2e"]["wall_s.t1"] - 1)
+            if not report["errors"]:
+                report["layers"]["trace.overhead_frac"] = (
+                    closed["e2e"]["norm_s.t1"] / report["e2e"]["norm_s.t1"]
+                    - 1)
         return report
     finally:
         for server in servers:
-            if server.proc.poll() is None:
-                server.proc.kill()
-                server.proc.wait()
+            server.close()
 
 
 def check_ci_baseline(report):
@@ -324,7 +382,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=25)
+    parser.add_argument("--seconds", type=float, default=40)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--selftest", action="store_true",
                         help="check names and the TimingMatcher identity")
@@ -359,12 +417,16 @@ def main():
         return 1
 
     errors = report["errors"]
-    attempted = report["attempted"]
     failed = len(errors) + report["refused"]
-    report["e2e"]["ok_frac"] = 1.0 - failed / attempted if attempted else 0.0
+    # A measuring process that stopped early reports no attempts of its
+    # own; its failure is one.
+    attempted = max(report["attempted"], failed, 1)
+    report["e2e"]["ok_frac"] = 1.0 - failed / attempted
     for e in errors[:20]:
         log("FAIL " + e)
 
+    # A failed run may lack metrics (the measuring process stopped early);
+    # they read 0 in the result line, which says "correct": false.
     if args.trace:
         metrics = {n: {"value": report["layers"].get(n, 0.0), "unit": u}
                    for n, u in LAYERS.items()}
@@ -378,14 +440,14 @@ def main():
             print(f"count {name}: traced {fmt(traced)} untraced "
                   f"{fmt(untraced)}")
     else:
-        metrics = {n: {"value": report["e2e"][n], "unit": u}
+        metrics = {n: {"value": report["e2e"].get(n, 0.0), "unit": u}
                    for n, (u, _) in E2E.items()}
     for name, m in metrics.items():
         print(f"{args.workload} {name} = {fmt(m['value'])} {m['unit']}")
     if not args.trace:
         for name, unit in E2E_UNGATED.items():
-            print(f"{args.workload} {name} = {fmt(report['e2e'][name])} {unit}"
-                  " (not gated)")
+            print(f"{args.workload} {name} = "
+                  f"{fmt(report['e2e'].get(name, 0.0))} {unit} (not gated)")
     correct = not errors
     print(json.dumps({"correct": correct, "attempted": attempted,
                       "failed": failed, "metrics": metrics}))

@@ -19,6 +19,7 @@
 #include "gen/weights.h"
 #include "graph/graph_view.h"
 #include "graph/matching.h"
+#include "host_probe.h"
 #include "obs/metrics.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -213,38 +214,76 @@ inline GenTiming time_generation(const wmatch::api::GenSpec& spec,
   return t;
 }
 
-/// End-to-end metrics of a closed-loop workload from its solve times,
-/// wall_ms[t][cell] = one sample per pass at --threads 1 (t=0) and 4
-/// (t=1). A cell's latency is its fastest pass: host noise only ever adds
-/// time, so the minimum is the steadiest estimate of what the work costs.
-///   wall_s.t1/.t4   sum of cell latencies (one pass over the solve set)
+/// The thread count of the parallel passes (norm_s.t2; on serve, requests
+/// in flight). Two threads leave half of the host's CPUs to the rest of the
+/// machine: at four threads on a four-CPU shared host the parallel passes
+/// measured the scheduler more than the pool.
+constexpr std::size_t kParallelThreads = 2;
+
+/// Paces a closed-loop workload's passes, which alternate --threads 1 and
+/// kParallelThreads: the first pass of each kind always runs, and a later
+/// one starts only while a pass as long as the last of its kind still ends
+/// before the deadline, so a run keeps to its time budget.
+class PassPacer {
+ public:
+  explicit PassPacer(double seconds)
+      : deadline_ns_(now_ns() + static_cast<std::uint64_t>(seconds * 1e9)) {}
+
+  /// Called before pass `pass` (0, 1, 2, ...); false ends the run.
+  bool next(std::size_t pass) {
+    const std::uint64_t now = now_ns();
+    if (pass > 0) last_ns_[(pass - 1) % 2] = now - start_ns_;
+    start_ns_ = now;
+    return pass < 2 || now + last_ns_[pass % 2] <= deadline_ns_;
+  }
+
+ private:
+  std::uint64_t deadline_ns_;
+  std::uint64_t start_ns_ = 0;
+  std::uint64_t last_ns_[2] = {0, 0};  ///< last pass of each kind
+};
+
+/// End-to-end metrics of a closed-loop workload from each cell's latency,
+/// cell_ms[t][cell] at --threads 1 (t=0) and kParallelThreads (t=1), and
+/// the run's HostProbe:
+///   norm_s.t1/.t2   wall_s scaled to the reference host speed (gated)
+///   wall_s.t1/.t2   sum of the cells' latencies, one pass over the solve
+///                   set, as measured
 ///   p50_ms, p99_ms  nearest-rank percentiles over the cells' latencies,
-///                   .lo at --threads=1 and .hi at --threads=4 (an
-///                   interpolated median would straddle a cheap and an
-///                   expensive cell)
-///   sat_rps         solves per second at --threads=4 (a closed loop
-///                   always runs saturated)
-inline void closed_loop_metrics(
-    const std::vector<std::vector<double>> (&wall_ms)[2], Report& report) {
+///                   .lo at t1 and .hi at t2 (the median follows whichever
+///                   cell ranks in the middle)
+///   sat_rps         solves per second at t2 (a closed loop always runs
+///                   saturated): cells / wall_s.t2
+///   probe_ms        the probe's median time in this run
+inline void closed_loop_metrics(const std::vector<double> (&cell_ms)[2],
+                                const HostProbe& probe, Report& report) {
   for (std::size_t ti = 0; ti < 2; ++ti) {
-    std::vector<double> cell_ms;
     double sum_ms = 0;
-    for (const std::vector<double>& samples : wall_ms[ti]) {
-      cell_ms.push_back(*std::min_element(samples.begin(), samples.end()));
-      sum_ms += cell_ms.back();
-    }
+    for (double ms : cell_ms[ti]) sum_ms += ms;
+    const std::string t = ti == 0 ? ".t1" : ".t2";
     const std::string load = ti == 0 ? ".lo" : ".hi";
-    report.e2e[ti == 0 ? "wall_s.t1" : "wall_s.t4"] = sum_ms / 1e3;
-    report.e2e["p50_ms" + load] = percentile(cell_ms, 0.5);
-    report.e2e["p99_ms" + load] = percentile(cell_ms, 0.99);
+    report.e2e["wall_s" + t] = sum_ms / 1e3;
+    report.e2e["norm_s" + t] = sum_ms / 1e3 * probe.factor();
+    report.e2e["p50_ms" + load] = percentile(cell_ms[ti], 0.5);
+    report.e2e["p99_ms" + load] = percentile(cell_ms[ti], 0.99);
     if (ti == 1) {
-      report.e2e["sat_rps"] = static_cast<double>(cell_ms.size()) / sum_ms * 1e3;
+      report.e2e["sat_rps"] =
+          static_cast<double>(cell_ms[ti].size()) / sum_ms * 1e3;
     }
   }
+  report.e2e["probe_ms"] = probe.median_ms();
+}
+
+/// setup_s (scaled to the reference host speed, gated) and setup_s.raw
+/// from a run's set-up times in seconds.
+inline void setup_metrics(const std::vector<double>& setup_s,
+                          const HostProbe& probe, Report& report) {
+  report.e2e["setup_s.raw"] = median(setup_s);
+  report.e2e["setup_s"] = median(setup_s) * probe.factor();
 }
 
 /// The runtime pool's registry counters (pool.busy_ns, pool.steals),
-/// accumulated over the --threads=4 solves of a closed-loop workload.
+/// accumulated over the parallel solves of a closed-loop workload.
 struct PoolUse {
   std::uint64_t busy_ns = 0, steals = 0;
   double solve_ms = 0;  ///< wall time of the solves measured
@@ -263,10 +302,12 @@ struct PoolUse {
     steals += now.steals - m.steals;
     solve_ms += ms;
   }
-  /// runtime.pool.busy_frac (busy share of 4 threads) and .steals.
+  /// runtime.pool.busy_frac (busy share of the kParallelThreads threads)
+  /// and .steals.
   void report(Report& r) const {
     r.layers["runtime.pool.busy_frac"] =
-        solve_ms > 0 ? static_cast<double>(busy_ns) / 1e6 / (solve_ms * 4.0)
+        solve_ms > 0 ? static_cast<double>(busy_ns) / 1e6 /
+                           (solve_ms * static_cast<double>(kParallelThreads))
                      : 0.0;
     r.layers["runtime.pool.steals"] = static_cast<double>(steals);
   }
@@ -277,10 +318,7 @@ struct Options {
   std::uint64_t seed = 1;
   double seconds = 10.0;
   bool trace = false;
-  int port = 0;              ///< serve-client: server port
-  double rate_lo = 0.0;      ///< serve-client: lower fixed rate (req/s)
-  double rate_hi = 0.0;      ///< serve-client: higher fixed rate (req/s)
-  double p99_limit_ms = 0.0; ///< serve-client: latency limit for sat_rps
+  int port = 0;  ///< serve-client: server port
   /// serve-client: "warm" (fill the cache and exit), "closed" (warm +
   /// closed-loop passes) or "all".
   std::string phases = "all";

@@ -2,8 +2,8 @@
 // per run and reads the JSON report it prints as its last stdout line.
 //
 //   wmatch_perf reduce|stream --seed=S --seconds=T [--trace]
-//   wmatch_perf serve-client --port=P --seed=S --seconds=T --lo=R --hi=R
-//               --p99-limit-ms=L [--phases=warm|closed|all]
+//   wmatch_perf serve-client --port=P --seed=S --seconds=T
+//               [--phases=warm|closed|all]
 //   wmatch_perf selftest        TimingMatcher identity check only
 //
 // Exit status: 0 when every output check passed, 1 when one failed, 2 on
@@ -43,12 +43,6 @@ int main(int argc, char** argv) {
         opt.seconds = std::stod(v);
       } else if (take(arg, "--port", &v)) {
         opt.port = std::stoi(v);
-      } else if (take(arg, "--lo", &v)) {
-        opt.rate_lo = std::stod(v);
-      } else if (take(arg, "--hi", &v)) {
-        opt.rate_hi = std::stod(v);
-      } else if (take(arg, "--p99-limit-ms", &v)) {
-        opt.p99_limit_ms = std::stod(v);
       } else if (arg == "--trace") {
         opt.trace = true;
       } else if (take(arg, "--phases", &v)) {

@@ -1,13 +1,23 @@
-// reduce workload: closed loop, one api::Solver solve at a time, over the
-// ci preset's reduction cells (reduction-hk and reduction-mpc at eps 0.2 on
-// weighted bipartite and erdos_renyi graphs, n=200 m=800, instance and
-// solver seed 1), alternating --threads 1 and 4 passes until the time
-// budget is spent.
+// reduce workload: closed loop, one solve at a time, over the ci preset's
+// reduction cells (reduction-hk and reduction-mpc at eps 0.2 on weighted
+// bipartite and erdos_renyi graphs, n=200 m=800, instance and solver seed
+// 1), alternating --threads 1 and 2 passes until the time budget is spent.
 //
 // The cells are the same for every workload seed: a reduction's round
 // count swings between about 7 and 17 with the instance and solver seed,
 // so a seed-drawn solve set would need some 25 solves per pass to get its
 // run-to-run spread under the noise bound. The seed only orders the cells.
+//
+// Each cell is first solved once through api::Solver, whose counters are
+// the ones checked against the ci baseline. A timed pass then runs every
+// cell the way api/solvers.cpp does, through core::maximum_weight_matching's
+// round loop, with a clock around each improve_matching_once; every run must
+// land on the api::Solver counters. Rounds are deterministic, so a round's
+// latency is its median over the passes and a cell's latency is the sum
+// over its rounds: a solve takes 0.3-1.2 s and a run holds three or four
+// passes, so a few slow seconds of the host move a few rounds, not a whole
+// cell. Times are scaled to the reference host speed by a HostProbe
+// sampled before every timed solve.
 //
 // The traced run replays maximum_weight_matching -> improve_matching_once
 // -> find_class_augmentations from their public building blocks, with a
@@ -40,7 +50,13 @@ using namespace wmatch;
 
 constexpr double kEpsilon = 0.2;
 constexpr std::uint64_t kCellSeed = 1;
-constexpr int kSetupReps = 25;
+/// Timed set-ups after each pass. A process keeps one set-up speed for
+/// seconds at a time (3.7 ms in one, 5.2 ms in the next, both steady), so
+/// set-ups spread over the run rather than packed at its start.
+constexpr int kSetupsPerPass = 2;
+/// HostProbe samples before each timed solve (about 4 ms against a solve's
+/// 0.3-1.2 s).
+constexpr int kProbesPerCell = 3;
 const char* const kFamilies[] = {"bipartite", "erdos_renyi"};
 const char* const kSolvers[] = {"reduction-hk", "reduction-mpc"};
 
@@ -434,6 +450,66 @@ std::vector<Family> set_up() {
   return families;
 }
 
+/// One solve of `cell` as api/solvers.cpp runs it: the round loop of
+/// core::maximum_weight_matching, with a clock around each round (arena
+/// reset + improve_matching_once). Appends round r's time to round_ms[r]
+/// and returns the counters api::Solver reports for the same solve.
+Counters timed_solve(const Cell& cell, const api::Instance& inst,
+                     std::size_t threads,
+                     std::vector<std::vector<double>>& round_ms,
+                     Matching& matching) {
+  const api::SolverSpec spec = solver_spec(threads);
+  const core::ReductionConfig cfg = reduction_config(spec);
+  const GraphView& g = inst.graph;
+  Rng rng(spec.seed);
+  const bool is_mpc = std::string(cell.solver) == "reduction-mpc";
+  core::HkStreamingMatcher hk(spec.runtime);
+  mpc::MpcContext ctx(mpc_config(inst, spec));
+  core::MpcMatcher mpc_matcher(ctx, rng);
+  core::UnweightedMatcher& matcher =
+      is_mpc ? static_cast<core::UnweightedMatcher&>(mpc_matcher) : hk;
+
+  matching = Matching(g.num_vertices());
+  const std::size_t iters =
+      cfg.max_iterations > 0
+          ? cfg.max_iterations
+          : static_cast<std::size_t>(std::ceil(8.0 / cfg.epsilon));
+  runtime::ArenaPool arenas;
+  std::size_t stalls = 0, rounds = 0, model_cost = 0, peak_round_words = 0;
+  for (std::size_t it = 0; it < iters && stalls < cfg.stall_patience; ++it) {
+    const std::uint64_t t0 = now_ns();
+    arenas.reset_all();
+    std::size_t max_cost = 0, round_words = 0;
+    const Weight gain = core::improve_matching_once(
+        g, matching, cfg, matcher, rng, &max_cost, &round_words, &arenas);
+    const double ms = ms_since(t0);
+    if (round_ms.size() <= it) round_ms.resize(it + 1);
+    round_ms[it].push_back(ms);
+    ++rounds;
+    model_cost += max_cost + 1;
+    peak_round_words = std::max(peak_round_words, round_words);
+    stalls = gain == 0 ? stalls + 1 : 0;
+  }
+
+  Counters c;
+  if (is_mpc) {
+    c.rounds = model_cost;
+    c.memory_peak_words = ctx.peak_machine_memory();
+    c.communication_words = ctx.total_communication();
+    c.sequential_rounds = static_cast<double>(ctx.rounds());
+  } else {
+    c.passes = model_cost;
+    c.memory_peak_words = g.num_vertices() + peak_round_words;
+  }
+  c.bb_invocations = matcher.invocations();
+  c.bb_max_invocation_cost = matcher.max_invocation_cost();
+  c.matching_size = matching.size();
+  c.matching_weight = matching.weight();
+  c.iterations = static_cast<double>(rounds);
+  c.bb_total_cost = static_cast<double>(matcher.total_cost());
+  return c;
+}
+
 }  // namespace
 
 void timing_matcher_selftest(Report& report) {
@@ -488,14 +564,16 @@ void timing_matcher_selftest(Report& report) {
 Report run_reduce(const Options& opt) {
   Report report;
   report.workload = "reduce";
+  PassPacer pacer(opt.seconds);
 
-  std::vector<double> setup_s;
-  std::vector<Family> families;
-  for (int rep = 0; rep < kSetupReps; ++rep) {
+  auto timed_set_up = [](std::vector<double>& setup_s) {
     const std::uint64_t t0 = now_ns();
-    families = set_up();
+    std::vector<Family> families = set_up();
     setup_s.push_back(ms_since(t0) / 1e3);
-  }
+    return families;
+  };
+  std::vector<double> setup_s;
+  const std::vector<Family> families = timed_set_up(setup_s);
 
   std::vector<Cell> cells;
   for (std::size_t f = 0; f < std::size(kFamilies); ++f) {
@@ -503,62 +581,77 @@ Report run_reduce(const Options& opt) {
   }
   Rng(opt.seed).shuffle(cells);
 
-  // Untraced passes (and, when tracing, a replay after each solve).
-  const std::size_t kThreads[] = {1, 4};
-  std::vector<std::vector<double>> wall_ms[2];  // [t][cell] -> samples
-  for (auto& w : wall_ms) w.assign(cells.size(), {});
+  // The reference solves: api::Solver at --threads=1, checked against the
+  // graph (and, by run.py, the ci baseline).
+  std::vector<Counters> expect(cells.size());
+  double ratio_min = 1.0;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    const Family& fam = families[cells[c].family];
+    const api::SolveResult r =
+        api::Solver(cells[c].solver).solve(fam.inst, solver_spec(1));
+    ++report.attempted;
+    const std::string bad =
+        check_matching(fam.inst.graph, r.matching, r.matching.weight());
+    if (!bad.empty()) report.fail(std::string(cells[c].solver) + ": " + bad);
+    expect[c] = counters_of(r);
+    report.cells.push_back(cell_json(cells[c], 1, expect[c]));
+    ratio_min = std::min(ratio_min,
+                         static_cast<double>(expect[c].matching_weight) /
+                             static_cast<double>(fam.optimum));
+  }
+
+  // Timed passes, alternating --threads 1 and kParallelThreads (and, when
+  // tracing, a replay after each solve).
+  const std::size_t kThreads[] = {1, kParallelThreads};
+  // round_ms[t][cell][round] -> one sample per pass
+  std::vector<std::vector<std::vector<double>>> round_ms[2];
+  for (auto& r : round_ms) r.assign(cells.size(), {});
   std::size_t passes_run[2] = {0, 0};
-  std::vector<Counters> first(cells.size());
-  std::vector<bool> seen(cells.size(), false);
   LayerTotals traced[2];
   double untraced_ms[2] = {0, 0};
   PoolUse pool;
-  double ratio_min = 1.0;
-
-  const std::uint64_t deadline =
-      now_ns() + static_cast<std::uint64_t>(opt.seconds * 1e9);
-  for (std::size_t pass = 0;
-       pass < 2 || (pass % 2 == 1) || now_ns() < deadline; ++pass) {
+  HostProbe probe;
+  Matching m;
+  for (std::size_t pass = 0; pacer.next(pass); ++pass) {
     const std::size_t ti = pass % 2;
     const std::size_t threads = kThreads[ti];
     for (std::size_t c = 0; c < cells.size(); ++c) {
       const Family& fam = families[cells[c].family];
+      for (int k = 0; k < kProbesPerCell; ++k) probe.sample();
       const PoolUse::Mark pool_mark = PoolUse::mark();
       const std::uint64_t t0 = now_ns();
-      const api::SolveResult r =
-          api::Solver(cells[c].solver).solve(fam.inst, solver_spec(threads));
+      const Counters got =
+          timed_solve(cells[c], fam.inst, threads, round_ms[ti][c], m);
       const double ms = ms_since(t0);
       if (ti == 1) pool.add(pool_mark, ms);
       ++report.attempted;
-      wall_ms[ti][c].push_back(ms);
       untraced_ms[ti] += ms;
-
-      const std::string bad =
-          check_matching(fam.inst.graph, r.matching, r.matching.weight());
-      const Counters got = counters_of(r);
-      if (!bad.empty()) {
-        report.fail(std::string(cells[c].solver) + ": " + bad);
-      } else if (seen[c] && !(got == first[c])) {
+      if (!(got == expect[c])) {
         report.fail(std::string(cells[c].solver) + "/" +
-                    kFamilies[cells[c].family] +
-                    ": counters differ between passes or thread counts");
+                    kFamilies[cells[c].family] + " at threads " +
+                    std::to_string(threads) +
+                    ": round loop counters differ from api::Solver");
       }
-      if (!seen[c]) {
-        seen[c] = true;
-        first[c] = got;
-        ratio_min = std::min(ratio_min, static_cast<double>(got.matching_weight) /
-                                            static_cast<double>(fam.optimum));
-      }
-      if (pass < 2) report.cells.push_back(cell_json(cells[c], threads, got));
+      const std::string bad = check_matching(fam.inst.graph, m, m.weight());
+      if (!bad.empty()) report.fail(std::string(cells[c].solver) + ": " + bad);
       if (opt.trace) {
         replay_cell(cells[c], fam.inst, threads, got, traced[ti], report);
       }
     }
     ++passes_run[ti];
+    for (int rep = 0; rep < kSetupsPerPass; ++rep) timed_set_up(setup_s);
   }
 
-  closed_loop_metrics(wall_ms, report);
-  report.e2e["setup_s"] = median(setup_s);
+  std::vector<double> cell_ms[2];
+  for (std::size_t ti = 0; ti < 2; ++ti) {
+    for (const auto& rounds : round_ms[ti]) {
+      double sum = 0;
+      for (const std::vector<double>& samples : rounds) sum += median(samples);
+      cell_ms[ti].push_back(sum);
+    }
+  }
+  closed_loop_metrics(cell_ms, probe, report);
+  setup_metrics(setup_s, probe, report);
   report.e2e["weight_ratio.min"] = ratio_min;
 
   if (opt.trace) {
@@ -572,8 +665,8 @@ Report run_reduce(const Options& opt) {
     timing_matcher_selftest(report);
 
     // Layer times and counts per --threads=1 pass (self times add up
-    // there); the class imbalance from the --threads=4 replays, where a
-    // round waits for its slowest class.
+    // there); the class imbalance from the parallel replays, where a round
+    // waits for its slowest class.
     const double passes = static_cast<double>(passes_run[0]);
     const LayerTotals& t = traced[0];
     const ClassClock& c = t.classes;
@@ -605,7 +698,7 @@ Report run_reduce(const Options& opt) {
     L["bb.share"] = t.solve_ms > 0 ? c.bb_ms / t.solve_ms : 0.0;
     L["mpc.rounds"] = per_pass(t.mpc_rounds);
     double comm = 0, bb_calls = 0, rounds = 0, mpc_rounds = 0;
-    for (const Counters& k : first) {
+    for (const Counters& k : expect) {
       comm += static_cast<double>(k.communication_words);
       bb_calls += static_cast<double>(k.bb_invocations);
       rounds += k.iterations;
@@ -620,7 +713,7 @@ Report run_reduce(const Options& opt) {
     report.counts["core.rounds"] = {L["core.rounds"], rounds};
     report.counts["mpc.rounds"] = {L["mpc.rounds"], mpc_rounds};
     report.counts["core.layered.useful"] = {per_pass(c.useful), bb_calls};
-    report.counts["core.layered.builds@t4"] = {
+    report.counts["core.layered.builds@t2"] = {
         L["core.layered.builds"],
         static_cast<double>(traced[1].classes.pairs) /
             static_cast<double>(passes_run[1])};

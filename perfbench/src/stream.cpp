@@ -1,11 +1,23 @@
 // stream workload: closed loop, one api::Solver solve at a time. The
 // one-pass solvers (greedy, local-ratio, rand-arrival, unw-rand-arrival)
-// run on a weighted bipartite and an erdos_renyi graph with n=5000 m=25000
+// run on a weighted bipartite and an erdos_renyi graph with n=2000 m=10000
 // streamed in random order; exact-hk and greedy run on one bipartite graph
-// with n=100k m=1M (at n=200k m=2M, Hopcroft-Karp's memory-bound 2-3 s
-// solves varied by a third from run to run on a shared 4-CPU host). Graphs
-// and arrival orders are drawn from the workload seed. Passes alternate
-// --threads 1 and 4 until the time budget is spent.
+// with n=50k m=500k. The small graphs and their arrival orders are drawn
+// from the workload seed; the large graph is the same for every seed
+// (instance seed 1), because Hopcroft-Karp's time on it swings by +-15%
+// with the instance (288 to 431 ms over six seeds), a third of a pass's
+// time. Passes alternate --threads 1 and 2 until the time budget is spent;
+// a cell's latency is the median of its passes, scaled to the reference
+// host speed by a HostProbe sampled before every timed solve. (The fastest
+// pass was the less steady figure here: one cell's fastest of ten passes
+// read 113 ms in one run and 158 ms in the next, the medians 164 and
+// 163 ms.)
+//
+// The sizes keep every solve under half a second, so a run takes a dozen
+// passes: at n=5000 and n=100k-200k a pass took 6 s and a set-up 5 s, a run
+// held two or three samples per cell, and the Blossom and Hopcroft-Karp
+// solves (the latter memory-bound, its time varying by a third from one
+// minute to the next on a shared host) spread past the noise bound.
 //
 // No reduction scaffolding runs here: the time is in exact/ (Blossom
 // post-processing, Hopcroft-Karp at scale), streaming/ and baselines/, with
@@ -38,27 +50,30 @@ namespace {
 
 using namespace wmatch;
 
-constexpr int kSetupReps = 3;
+/// Timed set-ups: one before the first pass, then one after each parallel
+/// pass until there are this many, so they sample the whole run.
+constexpr std::size_t kSetupReps = 5;
 const char* const kFamilies[] = {"bipartite", "erdos_renyi"};
 const char* const kOnePass[] = {"greedy", "local-ratio", "rand-arrival",
                                 "unw-rand-arrival"};
 const char* const kLargeSolvers[] = {"exact-hk", "greedy"};
+constexpr std::uint64_t kLargeSeed = 1;  ///< the large graph's, every run
 
 api::GenSpec small_spec(const char* family, std::uint64_t seed) {
   api::GenSpec spec;
   spec.generator = family;
-  spec.n = 5000;
-  spec.m = 25000;
+  spec.n = 2000;
+  spec.m = 10000;
   spec.seed = seed;
   return spec;
 }
 
-api::GenSpec large_spec(std::uint64_t seed) {
+api::GenSpec large_spec() {
   api::GenSpec spec;
   spec.generator = "bipartite";
-  spec.n = 100000;
-  spec.m = 1000000;
-  spec.seed = seed;
+  spec.n = 50000;
+  spec.m = 500000;
+  spec.seed = kLargeSeed;
   return spec;
 }
 
@@ -91,7 +106,7 @@ std::vector<Input> set_up(std::uint64_t seed) {
     inputs.push_back(std::move(in));
   }
   Input large;
-  large.spec = large_spec(seed);
+  large.spec = large_spec();
   large.inst = api::generate_instance(large.spec);
   inputs.push_back(std::move(large));
   return inputs;
@@ -256,15 +271,16 @@ Matching replay_cell(const std::string& solver, const api::Instance& inst,
 Report run_stream(const Options& opt) {
   Report report;
   report.workload = "stream";
+  PassPacer pacer(opt.seconds);
 
-  std::vector<double> setup_s;
-  std::vector<Input> inputs;
-  for (int rep = 0; rep < kSetupReps; ++rep) {
-    inputs.clear();
+  auto timed_set_up = [&](std::vector<double>& setup_s) {
     const std::uint64_t t0 = now_ns();
-    inputs = set_up(opt.seed);
+    std::vector<Input> inputs = set_up(opt.seed);
     setup_s.push_back(ms_since(t0) / 1e3);
-  }
+    return inputs;
+  };
+  std::vector<double> setup_s;
+  const std::vector<Input> inputs = timed_set_up(setup_s);
   const std::size_t large = inputs.size() - 1;
 
   std::vector<Cell> cells;
@@ -273,21 +289,19 @@ Report run_stream(const Options& opt) {
   }
   for (const char* solver : kLargeSolvers) cells.push_back({large, solver});
 
-  const std::size_t kThreads[] = {1, 4};
-  std::vector<std::vector<double>> wall_ms[2];
+  const std::size_t kThreads[] = {1, kParallelThreads};
+  std::vector<std::vector<double>> wall_ms[2];  // [t][cell] -> samples
   for (auto& w : wall_ms) w.assign(cells.size(), {});
   std::size_t passes_run[2] = {0, 0};
   std::vector<Matching> first(cells.size());
   std::vector<bool> seen(cells.size(), false);
   StreamLayers layers;
   PoolUse pool;
+  HostProbe probe;
   double ratio_min = 1.0;
   std::size_t hk_size = 0;
 
-  const std::uint64_t deadline =
-      now_ns() + static_cast<std::uint64_t>(opt.seconds * 1e9);
-  for (std::size_t pass = 0;
-       pass < 2 || (pass % 2 == 1) || now_ns() < deadline; ++pass) {
+  for (std::size_t pass = 0; pacer.next(pass); ++pass) {
     const std::size_t ti = pass % 2;
     api::SolverSpec spec;
     spec.seed = opt.seed;
@@ -295,6 +309,7 @@ Report run_stream(const Options& opt) {
     for (std::size_t c = 0; c < cells.size(); ++c) {
       const Input& in = inputs[cells[c].input];
       const std::string solver = cells[c].solver;
+      probe.sample();
       const PoolUse::Mark pool_mark = PoolUse::mark();
       const std::uint64_t t0 = now_ns();
       const api::SolveResult r = api::Solver(solver).solve(in.inst, spec);
@@ -339,10 +354,17 @@ Report run_stream(const Options& opt) {
       }
     }
     ++passes_run[ti];
+    if (ti == 1 && setup_s.size() < kSetupReps) timed_set_up(setup_s);
   }
 
-  closed_loop_metrics(wall_ms, report);
-  report.e2e["setup_s"] = median(setup_s);
+  std::vector<double> cell_ms[2];
+  for (std::size_t ti = 0; ti < 2; ++ti) {
+    for (const std::vector<double>& samples : wall_ms[ti]) {
+      cell_ms[ti].push_back(median(samples));
+    }
+  }
+  closed_loop_metrics(cell_ms, probe, report);
+  setup_metrics(setup_s, probe, report);
   report.e2e["weight_ratio.min"] = ratio_min;
 
   if (opt.trace) {
