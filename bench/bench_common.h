@@ -4,13 +4,13 @@
 #pragma once
 
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <string>
 
 #include "graph/graph.h"
 #include "graph/matching.h"
 #include "sweep/sweep.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -57,42 +57,17 @@ inline Args parse_args(int argc, char** argv) {
   return args;
 }
 
-/// Writes BENCH_<id>.json (or args.json_path) when --json was passed.
-/// Returns false when the write failed, so main can exit non-zero and CI
-/// catches the missing artifact at the bench step.
-inline bool maybe_write_json(const Args& args, const std::string& id,
-                             const Table& t) {
-  if (!args.json) return true;
-  const std::string path =
-      args.json_path.empty() ? "BENCH_" + id + ".json" : args.json_path;
-  std::ofstream os(path);
-  t.print_json(os, id);
-  os.flush();
-  if (os.good()) {
-    std::cout << "wrote " << path << "\n";
-    return true;
-  }
-  std::cerr << "error: could not write " << path << "\n";
-  return false;
-}
-
-/// Sweep-engine variant: writes the schema-versioned BENCH JSON document
-/// (counters + wall stats) instead of the flat table dump. Same return
-/// contract as above.
+/// Writes the sweep's schema-versioned BENCH_<id>.json (or
+/// args.json_path) when --json was passed. Returns false when the write
+/// failed, so main can exit non-zero and CI catches the missing artifact
+/// at the bench step.
 inline bool maybe_write_json(const Args& args, const std::string& id,
                              const sweep::SweepResult& result) {
-  if (!args.json) return true;
-  const std::string path =
-      args.json_path.empty() ? "BENCH_" + id + ".json" : args.json_path;
-  std::ofstream os(path);
-  result.print_bench_json(os);
-  os.flush();
-  if (os.good()) {
-    std::cout << "wrote " << path << "\n";
-    return true;
-  }
-  std::cerr << "error: could not write " << path << "\n";
-  return false;
+  return !args.json ||
+         util::write_bench_json(
+             args.json_path, id,
+             [&](std::ostream& os) { result.print_bench_json(os); },
+             std::cout, std::cerr);
 }
 
 /// Wall-clock milliseconds of one call.

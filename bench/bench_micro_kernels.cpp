@@ -203,9 +203,8 @@ std::uint64_t heap_fork_scratch() {
   return sum;
 }
 
-bool write_kernels_json(const std::string& path,
+void write_kernels_json(std::ostream& os,
                         const std::vector<KernelResult>& results) {
-  std::ofstream os(path);
   os << "{\n \"bench\": \"micro_kernels\",\n \"schema_version\": 1,\n"
      << " \"kind\": \"kernels\",\n \"results\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
@@ -217,8 +216,6 @@ bool write_kernels_json(const std::string& path,
        << (i + 1 < results.size() ? "," : "") << "\n";
   }
   os << " ]\n}\n";
-  os.flush();
-  return os.good();
 }
 
 int run_kernel_section(const bench::Args& args) {
@@ -268,15 +265,12 @@ int run_kernel_section(const bench::Args& args) {
   }
   t.print(std::cout);
 
-  if (args.json) {
-    const std::string path = args.json_path.empty()
-                                 ? std::string("BENCH_micro_kernels.json")
-                                 : args.json_path;
-    if (!write_kernels_json(path, results)) {
-      std::cerr << "error: could not write " << path << "\n";
-      return 1;
-    }
-    std::cout << "wrote " << path << "\n";
+  if (args.json &&
+      !util::write_bench_json(
+          args.json_path, "micro_kernels",
+          [&](std::ostream& os) { write_kernels_json(os, results); },
+          std::cout, std::cerr)) {
+    return 1;
   }
   bench::footer(
       "csr-neighbor-scan beats legacy-adjacency-scan (no rebuild, no "

@@ -1,78 +1,18 @@
-// wmatch_cli — command-line driver over the unified solver API.
+// wmatch_cli — command-line front end to the unified solver API: list the
+// solver registry, solve one instance, sweep a bench grid, run a JSONL job
+// batch, serve jobs over TCP or stdio, and generate load against a server.
 //
-//   wmatch_cli list [--json]
-//       Print every registered solver (name, model, objective, guarantee).
-//
-//   wmatch_cli solve --algo=NAME[,NAME...] [instance flags] [solver flags]
-//       Build one instance, run each named solver on it, print a
-//       comparison table — or, with --json, one JSON object per solver
-//       (each carrying the normalized CostReport).
-//
-//   wmatch_cli bench --preset=ci|e1..e13 [axis overrides] [--json[=path]]
-//   wmatch_cli bench --algo=LIST --gen=LIST [grid flags] [--json[=path]]
-//       Run a declarative sweep (solvers x instance families x epsilon x
-//       threads x seeds) through the sweep engine and print the per-cell
-//       table (--summary aggregates the seed axis). --json writes the
-//       schema-versioned BENCH_<name>.json the CI regression gate diffs.
-//
-//   wmatch_cli batch --file=JOBS.jsonl | --stdin [--jobs=N] [--threads=T]
-//       Execute a JSONL job stream through the service Scheduler (--jobs
-//       concurrent jobs over the shared pool, instances deduplicated by
-//       the InstanceCache) and print one CostReport JSON object per job,
-//       in submission order; the throughput/latency/cache summary goes to
-//       stderr. --json writes the batch BENCH document the CI per-job
-//       counter gate diffs. Exits 1 when any job failed.
-//
-//   wmatch_cli serve --listen=PORT | --stdin
-//       Long-lived session: one job JSON per input line, one result JSON
-//       per output line (flushed), instance cache warm across requests.
-//       --listen accepts concurrent TCP connections on 127.0.0.1 (the
-//       net::Server poll loop; --stdin is the same connection handler on
-//       fd 0/1); results stream back per connection in completion order,
-//       a full job queue answers {"error":"overloaded"}, and
-//       SIGINT/SIGTERM drains gracefully (in-flight jobs finish, results
-//       flush, a final metrics snapshot is logged). Each served job also
-//       logs one structured progress line to stderr; the input line
-//       "metrics" answers with an obs registry snapshot and "stats" with
-//       a windowed delta snapshot (rates + sliding-window percentiles)
-//       instead of a job result. --idle-timeout closes silent idle
-//       connections; --metrics-out appends a windowed stats JSONL time
-//       series (plus a Prometheus exposition beside it). See
-//       docs/SERVING.md for the wire protocol.
-//
-//   wmatch_cli loadgen --connect=HOST:PORT --jobs-file=JOBS.jsonl
-//       Open-loop Poisson load generator against a running serve
-//       --listen process: --rate arrivals/sec for --duration seconds
-//       over --connections sockets, cycling the job templates. Records
-//       end-to-end latency percentiles and writes the schema-versioned
-//       BENCH document the CI serving gate diffs.
-//
-// Every command takes --trace=FILE to record a Chrome/Perfetto trace of
-// the run (spans over solver rounds, HK phases, pool tasks, scheduler
-// jobs, and cache builds — see src/obs/ and DESIGN.md section 7).
-//
-// Unknown --algo / --gen / --preset names, malformed flag values or job
-// lines, unreadable or malformed --input files, and unknown flags all
-// exit 2 with a one-line error; runtime failures exit 1.
-//
-// Instance flags:
-//   --gen=erdos_renyi|bipartite|barabasi_albert|geometric|path|cycle
-//   --n=N --m=M --attach=K --radius=R
-//   --weights=uniform|exponential|polynomial|classes  --max-weight=W
-//   --order=random|as-generated|increasing-weight|decreasing-weight|clustered
-//   --input=FILE   load a DIMACS-flavoured graph instead of generating
-//   --seed=S       generation + solver seed
-// Solver flags:
-//   --epsilon=E --delta=D --threads=T
-//   --machines=G --mem-words=S     (MPC cluster sizing; 0 = paper regime)
-//   --p=P --beta=B                 (random-arrival knobs)
-// Output flags:
-//   --json          machine-readable output
-//   --with-optimum  also run Blossom and report ratios
+// Every flag is one entry of kFlags below, which drives both the parser and
+// `wmatch_cli help`; run that for the command and flag reference (README.md
+// embeds it verbatim). Unknown commands, flags and names, malformed flag
+// values or job lines, and unreadable --input files exit 2 with a one-line
+// error; runtime failures exit 1.
 #include <atomic>
 #include <csignal>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -92,38 +32,25 @@ namespace {
 
 using namespace wmatch;
 
-struct CliOptions {
-  std::vector<std::string> algos;
-  api::GenSpec gen;
-  std::string input_path;
-  api::SolverSpec spec;
-  api::MpcKnobs mpc;
-  api::RandomArrivalKnobs arrival;
-  bool mpc_knobs_set = false;
-  bool arrival_knobs_set = false;
-  bool json = false;
-  bool with_optimum = false;
-  std::string trace_path;
-};
-
 [[noreturn]] void usage_error(const std::string& msg) {
   std::cerr << "error: " << msg
             << "\nrun `wmatch_cli help` for the flag reference\n";
   std::exit(2);
 }
 
-/// RAII-ish session behind --trace=FILE, shared by every command: opens
-/// the output up front (an unwritable path is a usage error, exit 2, like
-/// any other bad flag value), arms the span tracer, and on finish() stops
-/// recording and writes the Chrome/Perfetto trace-event document.
+/// RAII-ish session behind --trace=FILE, which main wraps around every
+/// command: opens the output up front (an unwritable path is a usage
+/// error, exit 2, like any other bad flag value), arms the span tracer,
+/// and on finish() stops recording and writes the Chrome/Perfetto
+/// trace-event document.
 class TraceSession {
  public:
-  void open(const std::string& path) {
-    os_.open(path);
+  explicit TraceSession(const std::string& path) : path_(path) {
+    if (path_.empty()) return;
+    os_.open(path_);
     if (!os_.good()) {
-      usage_error("--trace: cannot open '" + path + "' for writing");
+      usage_error("--trace: cannot open '" + path_ + "' for writing");
     }
-    path_ = path;
     obs::set_thread_name("main");
     obs::reset_tracing();
     obs::start_tracing();
@@ -144,138 +71,9 @@ class TraceSession {
   }
 
  private:
-  std::ofstream os_;
   std::string path_;
+  std::ofstream os_;
 };
-
-void print_help() {
-  std::cout <<
-      "usage: wmatch_cli <command> [flags]\n"
-      "\n"
-      "commands:\n"
-      "  list                     print registered solvers\n"
-      "  solve --algo=A[,B,...]   run solvers on one instance\n"
-      "  bench                    sweep a solver x instance grid\n"
-      "  batch                    run a JSONL job stream via the service\n"
-      "  serve                    long-lived one-job-per-line session\n"
-      "                           (--listen=PORT TCP or --stdin)\n"
-      "  loadgen                  open-loop load generator against a\n"
-      "                           running serve --listen process\n"
-      "  help                     this text\n"
-      "\n"
-      "instance flags (solve):\n"
-      "  --gen=NAME       erdos_renyi (default) | bipartite |\n"
-      "                   barabasi_albert | geometric | path | cycle |\n"
-      "                   hard-four-cycle | hard-greedy-trap |\n"
-      "                   hard-long-path | hard-planted-augs |\n"
-      "                   hard-figure1 | hard-figure2\n"
-      "  --n=N --m=M      size (defaults 1000 / 4000)\n"
-      "  --attach=K       barabasi_albert attachment degree\n"
-      "  --radius=R       geometric connection radius\n"
-      "  --aug-length=L   hard-long-path augmentation half-length\n"
-      "  --gen-beta=B     hard-planted-augs wing density (solve; bench\n"
-      "                   instances use --beta)\n"
-      "  --weights=NAME   unit | uniform | exponential | polynomial |\n"
-      "                   classes\n"
-      "  --max-weight=W   weight scale (default 4096)\n"
-      "  --order=NAME     random | as-generated | increasing-weight |\n"
-      "                   decreasing-weight | clustered\n"
-      "  --input=FILE     load a graph (overrides --gen)\n"
-      "  --seed=S         generation + solver seed (default 1)\n"
-      "\n"
-      "solver flags (solve):\n"
-      "  --epsilon=E --delta=D --threads=T\n"
-      "  --machines=G --mem-words=S   MPC sizing (0 = paper regime)\n"
-      "  --p=P --beta=B               random-arrival knobs\n"
-      "\n"
-      "output flags (solve):\n"
-      "  --json           one JSON object per solver on stdout\n"
-      "  --with-optimum   also run exact Blossom, report ratios\n"
-      "  --trace=FILE     write a Chrome/Perfetto trace-event JSON of the\n"
-      "                   run (also on bench / batch / serve)\n"
-      "\n"
-      "bench flags:\n"
-      "  --preset=NAME    ci | e1 | e2 | ... | e13 (named\n"
-      "                   grids;\n"
-      "                   --algo/--epsilon/--threads/--seeds/--reps/\n"
-      "                   --warmup override the preset's axes, but its\n"
-      "                   instance list is fixed: --gen and the instance\n"
-      "                   shape flags are rejected alongside --preset)\n"
-      "  --algo=LIST      comma-separated solver axis\n"
-      "  --gen=LIST       comma-separated generator axis (instance shape\n"
-      "                   comes from the instance flags above)\n"
-      "  --epsilon=LIST --threads=LIST --seeds=LIST   grid axes\n"
-      "  --jobs=N         concurrent grid cells via the service scheduler\n"
-      "  --reps=R --warmup=W   timed / untimed runs per cell\n"
-      "  --delta=D --with-optimum --name=ID\n"
-      "  --summary        aggregate the seed axis in the table\n"
-      "  --json[=path]    write schema-versioned BENCH_<name>.json\n"
-      "  --trace=FILE     Chrome/Perfetto trace of the whole sweep\n"
-      "\n"
-      "batch flags:\n"
-      "  --file=PATH      JSONL job file (see DESIGN.md section 6 for the\n"
-      "                   job schema); --stdin reads the stream instead\n"
-      "  --jobs=N         concurrent jobs (default 1, 0 = hw threads)\n"
-      "  --threads=T      override every job's solver thread count\n"
-      "  --cache=N        resident InstanceCache entries (default 16)\n"
-      "  --queue=N        bounded job-queue capacity (default 256)\n"
-      "  --name=ID        BENCH document id (default \"batch\")\n"
-      "  --summary        also print the per-job table to stderr\n"
-      "  --json[=path]    write BENCH_<name>.json for the CI per-job gate\n"
-      "                   (includes a \"metrics\" registry snapshot block)\n"
-      "  --trace=FILE     Chrome/Perfetto trace of the whole batch\n"
-      "\n"
-      "serve flags (one of --listen / --stdin required; protocol\n"
-      "reference: docs/SERVING.md):\n"
-      "  --listen=PORT    accept concurrent JSONL connections on\n"
-      "                   127.0.0.1:PORT (0 = pick an ephemeral port; the\n"
-      "                   bound port is logged); results stream back per\n"
-      "                   connection in completion order; SIGINT/SIGTERM\n"
-      "                   drains gracefully\n"
-      "  --stdin          serve fd 0/1 as one pre-accepted connection:\n"
-      "                   one job JSON in, one result JSON out, plus one\n"
-      "                   structured progress line per job on stderr; the\n"
-      "                   input line \"metrics\" answers with a metrics\n"
-      "                   registry snapshot JSON object, and \"stats\" with\n"
-      "                   a windowed delta snapshot (per-interval rates\n"
-      "                   plus sliding-window p50/p95/p99)\n"
-      "  --max-conns=N    concurrent connection ceiling (default 64);\n"
-      "                   extra connections are answered\n"
-      "                   {\"error\":\"overloaded\"} and closed\n"
-      "  --queue=N        bounded job-queue capacity (default 256); a\n"
-      "                   full queue rejects jobs with\n"
-      "                   {\"error\":\"overloaded\"}\n"
-      "  --idle-timeout=SECS  close a socket connection after SECS with\n"
-      "                   no bytes read and no jobs in flight (default 0\n"
-      "                   = never; counted as net.idle_closes)\n"
-      "  --metrics-out=FILE   append one windowed stats JSON object per\n"
-      "                   second to FILE (JSONL) and rewrite a Prometheus\n"
-      "                   text exposition as metrics.prom beside it\n"
-      "  --jobs=N         concurrent jobs (default 1, 0 = hw threads)\n"
-      "  --threads=T --cache=N --trace=FILE   as for batch\n"
-      "\n"
-      "loadgen flags (requires --connect and --jobs-file):\n"
-      "  --connect=H:P    serve address (HOST:PORT, or PORT alone for\n"
-      "                   127.0.0.1)\n"
-      "  --jobs-file=PATH JSONL job templates, cycled round-robin; each\n"
-      "                   arrival is re-stamped with a unique id\n"
-      "  --rate=R         target arrivals/sec, Poisson, open loop\n"
-      "                   (default 10)\n"
-      "  --duration=SEC   sending window (default 5)\n"
-      "  --connections=C  concurrent client sockets (default 1)\n"
-      "  --seed=S         arrival-schedule seed (default 1)\n"
-      "  --name=ID        BENCH document id (default \"loadgen\")\n"
-      "  --json[=path]    write BENCH_<name>.json (per-template counters\n"
-      "                   and end-to-end latency percentiles)\n"
-      "  --trace=FILE     Chrome/Perfetto trace of the client side\n";
-}
-
-bool consume(const std::string& arg, const char* flag, std::string* value) {
-  const std::string prefix = std::string(flag) + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *value = arg.substr(prefix.size());
-  return true;
-}
 
 std::size_t parse_size(const std::string& flag, const std::string& value) {
   try {
@@ -317,16 +115,20 @@ std::string join(const std::vector<std::string>& names) {
   return out;
 }
 
+std::string solver_names() {
+  std::vector<std::string> known;
+  for (const auto& info : api::Registry::instance().list()) {
+    known.push_back(info.name);
+  }
+  return join(known);
+}
+
 /// Exits 2 with the list of known names — the registry lookup would also
 /// throw, but as a generic std::invalid_argument that exits 1; flag typos
 /// are usage errors and must say what IS available.
 void require_known_solver(const std::string& name) {
   if (api::Registry::instance().contains(name)) return;
-  std::vector<std::string> known;
-  for (const auto& info : api::Registry::instance().list()) {
-    known.push_back(info.name);
-  }
-  usage_error("unknown solver '" + name + "' (known: " + join(known) + ")");
+  usage_error("unknown solver '" + name + "' (known: " + solver_names() + ")");
 }
 
 void require_known_generator(const std::string& name) {
@@ -335,12 +137,17 @@ void require_known_generator(const std::string& name) {
               "' (known: " + join(api::known_generators()) + ")");
 }
 
+const char* const kWeightNames =
+    "unit, uniform, exponential, polynomial, classes";
+const char* const kOrderNames =
+    "random, as-generated, increasing-weight, decreasing-weight, clustered";
+
 gen::WeightDist parse_weights_flag(const std::string& value) {
   try {
     return api::parse_weight_dist(value);
   } catch (const std::exception&) {
     usage_error("--weights: unknown weight distribution '" + value +
-                "' (known: unit, uniform, exponential, polynomial, classes)");
+                "' (known: " + kWeightNames + ")");
   }
 }
 
@@ -349,14 +156,13 @@ api::ArrivalOrder parse_order_flag(const std::string& value) {
     return api::parse_arrival_order(value);
   } catch (const std::exception&) {
     usage_error("--order: unknown arrival order '" + value +
-                "' (known: random, as-generated, increasing-weight, "
-                "decreasing-weight, clustered)");
+                "' (known: " + kOrderNames + ")");
   }
 }
 
 /// hard-planted-augs wing density: a probability, checked at parse time
 /// so a bad value is a usage error (exit 2), not a runtime failure.
-double parse_gen_beta_flag(const std::string& flag, const std::string& value) {
+double parse_density(const std::string& flag, const std::string& value) {
   const double beta = parse_double(flag, value);
   if (beta < 0.0 || beta > 1.0) {
     usage_error(flag + " expects a density in [0,1], got '" + value + "'");
@@ -364,82 +170,376 @@ double parse_gen_beta_flag(const std::string& flag, const std::string& value) {
   return beta;
 }
 
-CliOptions parse_solve_flags(int argc, char** argv) {
-  CliOptions opt;
+double parse_epsilon(const std::string& flag, const std::string& value) {
+  const double epsilon = parse_double(flag, value);
+  api::check_epsilon(epsilon, flag);
+  return epsilon;
+}
+
+/// TCP port flag value; `allow_zero` admits 0 ("ephemeral") for --listen.
+int parse_port(const std::string& flag, const std::string& value,
+               bool allow_zero) {
+  const bool numeric =
+      !value.empty() && value.size() <= 5 &&
+      value.find_first_not_of("0123456789") == std::string::npos;
+  const long p = numeric ? std::stol(value) : -1;
+  if (p < (allow_zero ? 0 : 1) || p > net::kMaxPort) {
+    usage_error(flag + " expects a port in [" + (allow_zero ? "0" : "1") +
+                ", 65535], got '" + value + "'");
+  }
+  return static_cast<int>(p);
+}
+
+// ---- the flag table: one entry per (flag, commands) meaning ----
+
+enum Command : unsigned {
+  kList = 1u << 0,
+  kSolve = 1u << 1,
+  kBench = 1u << 2,
+  kBatch = 1u << 3,
+  kServe = 1u << 4,
+  kLoadgen = 1u << 5,
+};
+
+// Command sets of the flag groups several commands share, each group
+// declared once below: solver + instance-shape flags, service flags, BENCH
+// document flags, --trace.
+constexpr unsigned kSolveBench = kSolve | kBench;
+constexpr unsigned kService = kBatch | kServe;
+constexpr unsigned kBenchDoc = kBench | kBatch | kLoadgen;
+constexpr unsigned kTraced = kSolve | kBench | kBatch | kServe | kLoadgen;
+
+/// Every command's parsed flags; each command reads only its own fields.
+struct Options {
+  bool json = false;
+  std::string json_path;  ///< --json=PATH (bench / batch / loadgen)
+  std::string trace_path;
+  std::string name;  ///< BENCH document id; empty = the command's default
+  bool summary = false;
+  // solve / bench
+  std::vector<std::string> algos;
+  api::GenSpec gen;  ///< solve's instance; bench's shape for every --gen
+  bool shape_set = false;
+  std::optional<double> delta;
+  bool with_optimum = false;
+  // solve
+  std::string input_path;
+  api::SolverSpec spec;
+  // bench: grid axes and overrides of the preset's
+  std::string preset;
+  std::vector<std::string> gens;
+  std::vector<double> epsilons;
+  std::vector<std::size_t> threads;
+  std::vector<std::uint64_t> seeds;
+  std::optional<std::size_t> cell_jobs, reps, warmup;
+  // batch / serve: batch reads `stdio`, `queue_capacity` and `scheduler`
+  std::string file_path;
+  net::ServerConfig serve;
+  // loadgen
+  net::LoadgenConfig loadgen;  ///< port 0 = no --connect given
+};
+
+/// Marks an instance-shape flag as given (bench rejects shape flags
+/// alongside --preset) and returns the shape it sets.
+api::GenSpec& shape(Options& o) {
+  o.shape_set = true;
+  return o.gen;
+}
+
+/// The typed knob set a solve flag writes into (--machines/--mem-words:
+/// MpcKnobs, --p/--beta: RandomArrivalKnobs); a spec holds at most one.
+template <typename Knobs>
+Knobs& knobs(Options& o) {
+  if (o.spec.knobs.index() == 0) o.spec.knobs = Knobs{};
+  if (Knobs* k = std::get_if<Knobs>(&o.spec.knobs)) return *k;
+  usage_error("--machines/--mem-words and --p/--beta are mutually "
+              "exclusive (one typed knob set per spec)");
+}
+
+enum Arity { kSwitch, kValue, kOptional };  ///< --f, --f=V, --f[=V]
+
+using Arg = const std::string&;
+
+struct Flag {
+  const char* name;
+  unsigned commands;  ///< Command bits
+  Arity arity;
+  const char* metavar;
+  const char* help;
+  /// Stores the value; called with the flag's name for error messages.
+  /// A std::invalid_argument it throws is a usage error.
+  void (*set)(Options&, Arg flag, Arg value);
+};
+
+// Entries sharing a command set are contiguous: `help` prints one section
+// per run of equal `commands`.
+const Flag kFlags[] = {
+    {"--json", kList | kSolve, kSwitch, "",
+     "JSON on stdout (list: one array; solve: a line each)",
+     [](Options& o, Arg, Arg) { o.json = true; }},
+
+    {"--gen", kSolve, kValue, "NAME",
+     "instance generator (default erdos_renyi)",
+     [](Options& o, Arg, Arg v) {
+       require_known_generator(v);
+       o.gen.generator = v;
+     }},
+    {"--input", kSolve, kValue, "FILE",
+     "load a DIMACS-style graph instead of generating",
+     [](Options& o, Arg, Arg v) { o.input_path = v; }},
+    {"--seed", kSolve, kValue, "S", "generation + solver seed (default 1)",
+     [](Options& o, Arg f, Arg v) {
+       o.gen.seed = o.spec.seed = parse_size(f, v);
+     }},
+    {"--epsilon", kSolve, kValue, "E", "accuracy in (0,1) (default 0.1)",
+     [](Options& o, Arg f, Arg v) { o.spec.epsilon = parse_epsilon(f, v); }},
+    {"--threads", kSolve, kValue, "T",
+     "solver threads (0 = hardware concurrency)",
+     [](Options& o, Arg f, Arg v) {
+       o.spec.runtime.num_threads = parse_size(f, v);
+     }},
+    {"--machines", kSolve, kValue, "G", "MPC machines (0 = paper regime)",
+     [](Options& o, Arg f, Arg v) {
+       knobs<api::MpcKnobs>(o).num_machines = parse_size(f, v);
+     }},
+    {"--mem-words", kSolve, kValue, "S",
+     "MPC words per machine (0 = paper regime)",
+     [](Options& o, Arg f, Arg v) {
+       knobs<api::MpcKnobs>(o).machine_memory_words = parse_size(f, v);
+     }},
+    {"--p", kSolve, kValue, "P",
+     "random-arrival prefix fraction (0 = solver default)",
+     [](Options& o, Arg f, Arg v) {
+       knobs<api::RandomArrivalKnobs>(o).p = parse_double(f, v);
+     }},
+    {"--beta", kSolve, kValue, "B",
+     "unw-rand-arrival beta (exclusive with MPC sizing)",
+     [](Options& o, Arg f, Arg v) {
+       knobs<api::RandomArrivalKnobs>(o).beta = parse_double(f, v);
+     }},
+
+    {"--algo", kSolveBench, kValue, "LIST", "comma-separated solver names",
+     [](Options& o, Arg, Arg v) {
+       for (const std::string& a : split_list(v)) {
+         require_known_solver(a);
+         o.algos.push_back(a);
+       }
+     }},
+    {"--delta", kSolveBench, kValue, "D",
+     "black-box slack in [0,1) (default 0 = epsilon/2)",
+     [](Options& o, Arg f, Arg v) {
+       o.delta = parse_double(f, v);
+       api::check_delta(*o.delta, f);
+     }},
+    {"--with-optimum", kSolveBench, kSwitch, "",
+     "also run exact Blossom and report ratios",
+     [](Options& o, Arg, Arg) { o.with_optimum = true; }},
+    {"--n", kSolveBench, kValue, "N", "vertices (default 1000)",
+     [](Options& o, Arg f, Arg v) { shape(o).n = parse_size(f, v); }},
+    {"--m", kSolveBench, kValue, "M", "edges (default 4000)",
+     [](Options& o, Arg f, Arg v) { shape(o).m = parse_size(f, v); }},
+    {"--attach", kSolveBench, kValue, "K",
+     "barabasi_albert attachment degree (default 4)",
+     [](Options& o, Arg f, Arg v) { shape(o).attach = parse_size(f, v); }},
+    {"--radius", kSolveBench, kValue, "R",
+     "geometric connection radius (default 0.08)",
+     [](Options& o, Arg f, Arg v) { shape(o).radius = parse_double(f, v); }},
+    {"--aug-length", kSolveBench, kValue, "L",
+     "hard-long-path augmentation half-length (default 3)",
+     [](Options& o, Arg f, Arg v) { shape(o).aug_length = parse_size(f, v); }},
+    {"--gen-beta", kSolveBench, kValue, "B",
+     "hard-planted-augs wing density in [0,1] (default 0.5)",
+     [](Options& o, Arg f, Arg v) { shape(o).beta = parse_density(f, v); }},
+    {"--weights", kSolveBench, kValue, "NAME",
+     "weight distribution (default uniform)",
+     [](Options& o, Arg, Arg v) { shape(o).weights = parse_weights_flag(v); }},
+    {"--max-weight", kSolveBench, kValue, "W", "weight scale (default 4096)",
+     [](Options& o, Arg f, Arg v) {
+       shape(o).max_weight = static_cast<Weight>(parse_size(f, v));
+     }},
+    {"--order", kSolveBench, kValue, "NAME",
+     "edge arrival order (default random)",
+     [](Options& o, Arg, Arg v) { shape(o).order = parse_order_flag(v); }},
+
+    {"--preset", kBench, kValue, "NAME",
+     "named grid; its instances are fixed, axis flags override",
+     [](Options& o, Arg, Arg v) { o.preset = v; }},
+    {"--gen", kBench, kValue, "LIST",
+     "generator axis, each with the instance shape above",
+     [](Options& o, Arg, Arg v) {
+       for (const std::string& g : split_list(v)) {
+         require_known_generator(g);
+         o.gens.push_back(g);
+       }
+     }},
+    {"--epsilon", kBench, kValue, "LIST", "epsilon axis",
+     [](Options& o, Arg f, Arg v) {
+       for (Arg e : split_list(v)) o.epsilons.push_back(parse_epsilon(f, e));
+     }},
+    {"--threads", kBench, kValue, "LIST", "solver-thread axis",
+     [](Options& o, Arg f, Arg v) {
+       for (Arg t : split_list(v)) o.threads.push_back(parse_size(f, t));
+     }},
+    {"--seeds", kBench, kValue, "LIST", "seed axis",
+     [](Options& o, Arg f, Arg v) {
+       for (Arg s : split_list(v)) o.seeds.push_back(parse_size(f, s));
+     }},
+    {"--jobs", kBench, kValue, "N",
+     "concurrent grid cells via the service scheduler",
+     [](Options& o, Arg f, Arg v) { o.cell_jobs = parse_size(f, v); }},
+    {"--reps", kBench, kValue, "R", "timed runs per cell",
+     [](Options& o, Arg f, Arg v) { o.reps = parse_size(f, v); }},
+    {"--warmup", kBench, kValue, "W", "untimed runs per cell",
+     [](Options& o, Arg f, Arg v) { o.warmup = parse_size(f, v); }},
+
+    {"--summary", kBench | kBatch, kSwitch, "",
+     "bench: aggregate seeds; batch: job table on stderr",
+     [](Options& o, Arg, Arg) { o.summary = true; }},
+
+    {"--name", kBenchDoc, kValue, "ID",
+     "BENCH document id (default: grid name, batch, loadgen)",
+     [](Options& o, Arg, Arg v) { o.name = v; }},
+    {"--json", kBenchDoc, kOptional, "PATH",
+     "write BENCH_<name>.json (or PATH) for the CI gates",
+     [](Options& o, Arg, Arg v) {
+       o.json = true;
+       o.json_path = v;
+     }},
+
+    {"--file", kBatch, kValue, "PATH",
+     "JSONL job file (job schema: DESIGN.md section 6)",
+     [](Options& o, Arg, Arg v) { o.file_path = v; }},
+
+    {"--stdin", kService, kSwitch, "",
+     "read jobs from stdin (serve: fd 0/1 is one connection)",
+     [](Options& o, Arg, Arg) { o.serve.stdio = true; }},
+    {"--jobs", kService, kValue, "N",
+     "concurrent jobs (default 1, 0 = hardware threads)",
+     [](Options& o, Arg f, Arg v) {
+       o.serve.scheduler.jobs = parse_size(f, v);
+     }},
+    {"--threads", kService, kValue, "T",
+     "override every job's solver thread count",
+     [](Options& o, Arg f, Arg v) {
+       o.serve.scheduler.threads_override = parse_size(f, v);
+     }},
+    {"--cache", kService, kValue, "N",
+     "resident InstanceCache entries (default 16)",
+     [](Options& o, Arg f, Arg v) {
+       o.serve.scheduler.cache_capacity = parse_size(f, v);
+     }},
+    {"--queue", kService, kValue, "N",
+     "job-queue capacity (default 256; full = overloaded)",
+     [](Options& o, Arg f, Arg v) {
+       o.serve.queue_capacity = parse_size(f, v);
+     }},
+
+    {"--listen", kServe, kValue, "PORT",
+     "TCP on 127.0.0.1:PORT (0 = ephemeral, logged)",
+     [](Options& o, Arg f, Arg v) {
+       o.serve.listen_port = parse_port(f, v, /*allow_zero=*/true);
+     }},
+    {"--max-conns", kServe, kValue, "N",
+     "connection ceiling (default 64; extra = overloaded)",
+     [](Options& o, Arg f, Arg v) {
+       o.serve.max_conns = parse_size(f, v);
+       if (o.serve.max_conns == 0) usage_error("--max-conns must be >= 1");
+     }},
+    {"--idle-timeout", kServe, kValue, "SECS",
+     "close idle connections after SECS (default 0 = never)",
+     [](Options& o, Arg f, Arg v) {
+       const std::size_t secs = parse_size(f, v);
+       if (secs > 86400) usage_error("--idle-timeout must be <= 86400");
+       o.serve.idle_timeout_s = static_cast<int>(secs);
+     }},
+    {"--metrics-out", kServe, kValue, "FILE",
+     "append windowed stats JSONL; metrics.prom beside it",
+     [](Options& o, Arg, Arg v) {
+       if (v.empty()) usage_error("--metrics-out expects a file path");
+       o.serve.metrics_out = v;
+     }},
+
+    {"--connect", kLoadgen, kValue, "HOST:PORT",
+     "serve address (PORT alone = 127.0.0.1)",
+     [](Options& o, Arg f, Arg v) {
+       const std::size_t colon = v.rfind(':');  // npos + 1 == 0: bare PORT
+       if (colon == 0) {
+         usage_error("--connect expects HOST:PORT, got '" + v + "'");
+       }
+       if (colon != std::string::npos) o.loadgen.host = v.substr(0, colon);
+       o.loadgen.port =
+           parse_port(f, v.substr(colon + 1), /*allow_zero=*/false);
+     }},
+    {"--jobs-file", kLoadgen, kValue, "PATH",
+     "JSONL job templates, cycled round-robin",
+     [](Options& o, Arg, Arg v) { o.loadgen.jobs_file = v; }},
+    {"--rate", kLoadgen, kValue, "R",
+     "Poisson arrivals/sec, open loop (default 10)",
+     [](Options& o, Arg f, Arg v) {
+       o.loadgen.rate = parse_double(f, v);
+       if (!(o.loadgen.rate > 0.0)) usage_error("--rate must be > 0");
+     }},
+    {"--duration", kLoadgen, kValue, "SEC",
+     "sending window in seconds (default 5)",
+     [](Options& o, Arg f, Arg v) {
+       o.loadgen.duration_s = parse_double(f, v);
+       if (!(o.loadgen.duration_s > 0.0)) usage_error("--duration must be > 0");
+     }},
+    {"--connections", kLoadgen, kValue, "C",
+     "concurrent client sockets (default 1)",
+     [](Options& o, Arg f, Arg v) {
+       o.loadgen.connections = parse_size(f, v);
+       if (o.loadgen.connections == 0) {
+         usage_error("--connections must be >= 1");
+       }
+     }},
+    {"--seed", kLoadgen, kValue, "S", "arrival-schedule seed (default 1)",
+     [](Options& o, Arg f, Arg v) { o.loadgen.seed = parse_size(f, v); }},
+
+    {"--trace", kTraced, kValue, "FILE",
+     "write a Chrome/Perfetto trace-event JSON of the run",
+     [](Options& o, Arg, Arg v) { o.trace_path = v; }},
+};
+
+struct CommandInfo {
+  const char* name;
+  Command bit;
+  const char* summary;
+  int (*run)(Options&);
+};
+
+Options parse_flags(const CommandInfo& cmd, int argc, char** argv) {
+  Options opt;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    std::string v;
-    if (consume(arg, "--algo", &v)) {
-      std::stringstream ss(v);
-      std::string name;
-      while (std::getline(ss, name, ',')) {
-        if (!name.empty()) opt.algos.push_back(name);
+    const std::size_t eq = arg.find('=');
+    const bool has_value = eq != std::string::npos;
+    const std::string name = arg.substr(0, eq);
+    const Flag* flag = nullptr;
+    for (const Flag& f : kFlags) {
+      if ((f.commands & cmd.bit) != 0 && name == f.name) {
+        flag = &f;
+        break;
       }
-    } else if (consume(arg, "--gen", &v)) {
-      require_known_generator(v);
-      opt.gen.generator = v;
-    } else if (consume(arg, "--n", &v)) {
-      opt.gen.n = parse_size("--n", v);
-    } else if (consume(arg, "--m", &v)) {
-      opt.gen.m = parse_size("--m", v);
-    } else if (consume(arg, "--attach", &v)) {
-      opt.gen.attach = parse_size("--attach", v);
-    } else if (consume(arg, "--radius", &v)) {
-      opt.gen.radius = parse_double("--radius", v);
-    } else if (consume(arg, "--aug-length", &v)) {
-      opt.gen.aug_length = parse_size("--aug-length", v);
-    } else if (consume(arg, "--weights", &v)) {
-      opt.gen.weights = parse_weights_flag(v);
-    } else if (consume(arg, "--max-weight", &v)) {
-      opt.gen.max_weight = static_cast<Weight>(parse_size("--max-weight", v));
-    } else if (consume(arg, "--order", &v)) {
-      opt.gen.order = parse_order_flag(v);
-    } else if (consume(arg, "--input", &v)) {
-      opt.input_path = v;
-    } else if (consume(arg, "--seed", &v)) {
-      opt.gen.seed = parse_size("--seed", v);
-      opt.spec.seed = opt.gen.seed;
-    } else if (consume(arg, "--epsilon", &v)) {
-      opt.spec.epsilon = parse_double("--epsilon", v);
-    } else if (consume(arg, "--delta", &v)) {
-      opt.spec.delta = parse_double("--delta", v);
-    } else if (consume(arg, "--threads", &v)) {
-      opt.spec.runtime.num_threads = parse_size("--threads", v);
-    } else if (consume(arg, "--machines", &v)) {
-      opt.mpc.num_machines = parse_size("--machines", v);
-      opt.mpc_knobs_set = true;
-    } else if (consume(arg, "--mem-words", &v)) {
-      opt.mpc.machine_memory_words = parse_size("--mem-words", v);
-      opt.mpc_knobs_set = true;
-    } else if (consume(arg, "--p", &v)) {
-      opt.arrival.p = parse_double("--p", v);
-      opt.arrival_knobs_set = true;
-    } else if (consume(arg, "--gen-beta", &v)) {
-      opt.gen.beta = parse_gen_beta_flag("--gen-beta", v);
-    } else if (consume(arg, "--beta", &v)) {
-      opt.arrival.beta = parse_double("--beta", v);
-      opt.arrival_knobs_set = true;
-    } else if (arg == "--json") {
-      opt.json = true;
-    } else if (arg == "--with-optimum") {
-      opt.with_optimum = true;
-    } else if (consume(arg, "--trace", &v)) {
-      opt.trace_path = v;
-    } else {
-      usage_error("unknown flag '" + arg + "'");
     }
-  }
-  if (opt.algos.empty()) usage_error("solve requires --algo=NAME[,NAME...]");
-  if (opt.mpc_knobs_set && opt.arrival_knobs_set) {
-    usage_error("--machines/--mem-words and --p/--beta are mutually "
-                "exclusive (one typed knob set per spec)");
+    // Also unknown: a switch given a value, a valued flag given none.
+    if (flag == nullptr || flag->arity == (has_value ? kSwitch : kValue)) {
+      usage_error(std::string("unknown ") + cmd.name + " flag '" + arg + "'");
+    }
+    try {
+      flag->set(opt, name, has_value ? arg.substr(eq + 1) : std::string());
+    } catch (const std::invalid_argument& e) {
+      usage_error(e.what());
+    }
   }
   return opt;
 }
 
-int cmd_list(bool json) {
+// ---- commands ----
+
+int cmd_list(Options& opt) {
   const auto solvers = api::Registry::instance().list();
-  if (json) {
+  if (opt.json) {
     std::cout << "[";
     for (std::size_t i = 0; i < solvers.size(); ++i) {
       const auto& s = solvers[i];
@@ -469,13 +569,9 @@ int cmd_list(bool json) {
   return 0;
 }
 
-int cmd_solve(int argc, char** argv) {
-  CliOptions opt = parse_solve_flags(argc, argv);
-  for (const std::string& algo : opt.algos) require_known_solver(algo);
-  TraceSession trace;
-  if (!opt.trace_path.empty()) trace.open(opt.trace_path);
-  if (opt.mpc_knobs_set) opt.spec.knobs = opt.mpc;
-  if (opt.arrival_knobs_set) opt.spec.knobs = opt.arrival;
+int cmd_solve(Options& opt) {
+  if (opt.algos.empty()) usage_error("solve requires --algo=NAME[,NAME...]");
+  if (opt.delta) opt.spec.delta = *opt.delta;
 
   api::Instance inst;
   if (!opt.input_path.empty()) {
@@ -531,122 +627,10 @@ int cmd_solve(int argc, char** argv) {
               << opt.gen.seed << "\n\n";
     api::result_table(results, opt_weight, opt_size).print(std::cout);
   }
-  return trace.finish();
+  return 0;
 }
 
-// ---- bench: declarative sweeps over the sweep engine ----
-
-struct BenchOptions {
-  std::string preset;
-  std::vector<std::string> algos;
-  std::vector<std::string> gens;
-  api::GenSpec shape;  ///< shared instance shape for every --gen family
-  bool shape_set = false;
-  std::vector<double> epsilons;
-  std::vector<std::size_t> threads;
-  std::vector<std::uint64_t> seeds;
-  std::size_t jobs = 0;
-  bool jobs_set = false;
-  std::size_t reps = 0, warmup = 0;
-  bool reps_set = false, warmup_set = false;
-  double delta = 0.0;
-  bool delta_set = false;
-  bool with_optimum = false;
-  std::string name;
-  bool summary = false;
-  bool json = false;
-  std::string json_path;
-  std::string trace_path;
-};
-
-BenchOptions parse_bench_flags(int argc, char** argv) {
-  BenchOptions opt;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string v;
-    if (consume(arg, "--preset", &v)) {
-      opt.preset = v;
-    } else if (consume(arg, "--algo", &v)) {
-      opt.algos = split_list(v);
-    } else if (consume(arg, "--gen", &v)) {
-      opt.gens = split_list(v);
-    } else if (consume(arg, "--n", &v)) {
-      opt.shape.n = parse_size("--n", v);
-      opt.shape_set = true;
-    } else if (consume(arg, "--m", &v)) {
-      opt.shape.m = parse_size("--m", v);
-      opt.shape_set = true;
-    } else if (consume(arg, "--attach", &v)) {
-      opt.shape.attach = parse_size("--attach", v);
-      opt.shape_set = true;
-    } else if (consume(arg, "--radius", &v)) {
-      opt.shape.radius = parse_double("--radius", v);
-      opt.shape_set = true;
-    } else if (consume(arg, "--aug-length", &v)) {
-      opt.shape.aug_length = parse_size("--aug-length", v);
-      opt.shape_set = true;
-    } else if (consume(arg, "--beta", &v)) {
-      opt.shape.beta = parse_gen_beta_flag("--beta", v);
-      opt.shape_set = true;
-    } else if (consume(arg, "--weights", &v)) {
-      opt.shape.weights = parse_weights_flag(v);
-      opt.shape_set = true;
-    } else if (consume(arg, "--max-weight", &v)) {
-      opt.shape.max_weight =
-          static_cast<Weight>(parse_size("--max-weight", v));
-      opt.shape_set = true;
-    } else if (consume(arg, "--order", &v)) {
-      opt.shape.order = parse_order_flag(v);
-      opt.shape_set = true;
-    } else if (consume(arg, "--epsilon", &v)) {
-      for (const std::string& e : split_list(v)) {
-        opt.epsilons.push_back(parse_double("--epsilon", e));
-      }
-    } else if (consume(arg, "--threads", &v)) {
-      for (const std::string& t : split_list(v)) {
-        opt.threads.push_back(parse_size("--threads", t));
-      }
-    } else if (consume(arg, "--seeds", &v)) {
-      for (const std::string& s : split_list(v)) {
-        opt.seeds.push_back(parse_size("--seeds", s));
-      }
-    } else if (consume(arg, "--jobs", &v)) {
-      opt.jobs = parse_size("--jobs", v);
-      opt.jobs_set = true;
-    } else if (consume(arg, "--reps", &v)) {
-      opt.reps = parse_size("--reps", v);
-      opt.reps_set = true;
-    } else if (consume(arg, "--warmup", &v)) {
-      opt.warmup = parse_size("--warmup", v);
-      opt.warmup_set = true;
-    } else if (consume(arg, "--delta", &v)) {
-      opt.delta = parse_double("--delta", v);
-      opt.delta_set = true;
-    } else if (consume(arg, "--name", &v)) {
-      opt.name = v;
-    } else if (arg == "--with-optimum") {
-      opt.with_optimum = true;
-    } else if (arg == "--summary") {
-      opt.summary = true;
-    } else if (arg == "--json") {
-      opt.json = true;
-    } else if (consume(arg, "--json", &v)) {
-      opt.json = true;
-      opt.json_path = v;
-    } else if (consume(arg, "--trace", &v)) {
-      opt.trace_path = v;
-    } else {
-      usage_error("unknown bench flag '" + arg + "'");
-    }
-  }
-  return opt;
-}
-
-int cmd_bench(int argc, char** argv) {
-  const BenchOptions opt = parse_bench_flags(argc, argv);
-  for (const std::string& algo : opt.algos) require_known_solver(algo);
-  for (const std::string& g : opt.gens) require_known_generator(g);
-
+int cmd_bench(Options& opt) {
   sweep::SweepSpec spec;
   if (!opt.preset.empty()) {
     if (!sweep::is_known_preset(opt.preset)) {
@@ -665,7 +649,7 @@ int cmd_bench(int argc, char** argv) {
                   "--gen=LIST");
     }
     for (const std::string& g : opt.gens) {
-      api::GenSpec inst = opt.shape;
+      api::GenSpec inst = opt.gen;
       inst.generator = g;
       spec.instances.push_back(std::move(inst));
     }
@@ -674,15 +658,13 @@ int cmd_bench(int argc, char** argv) {
   if (!opt.epsilons.empty()) spec.epsilons = opt.epsilons;
   if (!opt.threads.empty()) spec.threads = opt.threads;
   if (!opt.seeds.empty()) spec.seeds = opt.seeds;
-  if (opt.jobs_set) spec.jobs = opt.jobs;
-  if (opt.reps_set) spec.repetitions = opt.reps;
-  if (opt.warmup_set) spec.warmup = opt.warmup;
-  if (opt.delta_set) spec.delta = opt.delta;
+  if (opt.cell_jobs) spec.jobs = *opt.cell_jobs;
+  if (opt.reps) spec.repetitions = *opt.reps;
+  if (opt.warmup) spec.warmup = *opt.warmup;
+  if (opt.delta) spec.delta = *opt.delta;
   if (opt.with_optimum) spec.with_optimum = true;
   if (!opt.name.empty()) spec.name = opt.name;
 
-  TraceSession trace;
-  if (!opt.trace_path.empty()) trace.open(opt.trace_path);
   const sweep::SweepRunner runner(spec);
   std::cout << "sweep '" << spec.name << "': " << runner.grid_size()
             << " cells (" << spec.solvers.size() << " solvers x "
@@ -693,114 +675,25 @@ int cmd_bench(int argc, char** argv) {
   (opt.summary ? result.summary_table() : result.table()).print(std::cout);
 
   if (opt.json) {
-    const std::string path = opt.json_path.empty()
-                                 ? "BENCH_" + spec.name + ".json"
-                                 : opt.json_path;
-    std::ofstream os(path);
-    result.print_bench_json(os);
-    os.flush();
-    if (!os.good()) {
-      std::cerr << "error: could not write " << path << "\n";
+    std::cout << "\n";
+    if (!util::write_bench_json(
+            opt.json_path, spec.name,
+            [&](std::ostream& os) { result.print_bench_json(os); }, std::cout,
+            std::cerr)) {
       return 1;
     }
-    std::cout << "\nwrote " << path << "\n";
   }
-  return trace.finish();
+  return 0;
 }
 
-// ---- batch / serve: the service layer's CLI surface ----
-
-struct BatchOptionsCli {
-  std::string file_path;
-  bool use_stdin = false;
-  int listen_port = -1;  ///< serve only: -1 off, 0 ephemeral
-  std::size_t max_conns = 64;
-  int idle_timeout_s = 0;   ///< serve only: 0 = never close idle conns
-  std::string metrics_out;  ///< serve only: windowed stats JSONL path
-  service::SchedulerConfig sched;
-  std::size_t queue_capacity = 256;
-  std::string name = "batch";
-  bool summary = false;
-  bool json = false;
-  std::string json_path;
-  std::string trace_path;
-};
-
-/// TCP port flag value; `allow_zero` admits 0 ("ephemeral") for --listen.
-int parse_port(const std::string& flag, const std::string& value,
-               bool allow_zero) {
-  const bool numeric =
-      !value.empty() && value.size() <= 5 &&
-      value.find_first_not_of("0123456789") == std::string::npos;
-  const long p = numeric ? std::stol(value) : -1;
-  if (p < (allow_zero ? 0 : 1) || p > net::kMaxPort) {
-    usage_error(flag + " expects a port in [" + (allow_zero ? "0" : "1") +
-                ", 65535], got '" + value + "'");
-  }
-  return static_cast<int>(p);
-}
-
-BatchOptionsCli parse_batch_flags(int argc, char** argv, bool serve) {
-  BatchOptionsCli opt;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string v;
-    if (!serve && consume(arg, "--file", &v)) {
-      opt.file_path = v;
-    } else if (arg == "--stdin") {
-      opt.use_stdin = true;
-    } else if (serve && consume(arg, "--listen", &v)) {
-      opt.listen_port = parse_port("--listen", v, /*allow_zero=*/true);
-    } else if (serve && consume(arg, "--max-conns", &v)) {
-      opt.max_conns = parse_size("--max-conns", v);
-      if (opt.max_conns == 0) usage_error("--max-conns must be >= 1");
-    } else if (serve && consume(arg, "--idle-timeout", &v)) {
-      const std::size_t secs = parse_size("--idle-timeout", v);
-      if (secs > 86400) usage_error("--idle-timeout must be <= 86400");
-      opt.idle_timeout_s = static_cast<int>(secs);
-    } else if (serve && consume(arg, "--metrics-out", &v)) {
-      if (v.empty()) usage_error("--metrics-out expects a file path");
-      opt.metrics_out = v;
-    } else if (consume(arg, "--jobs", &v)) {
-      opt.sched.jobs = parse_size("--jobs", v);
-    } else if (consume(arg, "--threads", &v)) {
-      opt.sched.threads_override = parse_size("--threads", v);
-    } else if (consume(arg, "--cache", &v)) {
-      opt.sched.cache_capacity = parse_size("--cache", v);
-    } else if (consume(arg, "--queue", &v)) {
-      opt.queue_capacity = parse_size("--queue", v);
-    } else if (!serve && consume(arg, "--name", &v)) {
-      opt.name = v;
-    } else if (!serve && arg == "--summary") {
-      opt.summary = true;
-    } else if (!serve && arg == "--json") {
-      opt.json = true;
-    } else if (!serve && consume(arg, "--json", &v)) {
-      opt.json = true;
-      opt.json_path = v;
-    } else if (consume(arg, "--trace", &v)) {
-      opt.trace_path = v;
-    } else {
-      usage_error(std::string("unknown ") + (serve ? "serve" : "batch") +
-                  " flag '" + arg + "'");
-    }
-  }
-  if (serve && !opt.use_stdin && opt.listen_port < 0) {
-    usage_error("serve requires --listen=PORT or --stdin");
-  }
-  if (!serve && opt.file_path.empty() && !opt.use_stdin) {
+int cmd_batch(Options& opt) {
+  if (opt.file_path.empty() && !opt.serve.stdio) {
     usage_error("batch requires --file=JOBS.jsonl or --stdin");
   }
-  if (!serve && !opt.file_path.empty() && opt.use_stdin) {
+  if (!opt.file_path.empty() && opt.serve.stdio) {
     usage_error("--file and --stdin are mutually exclusive");
   }
-  return opt;
-}
-
-int cmd_batch(int argc, char** argv) {
-  const BatchOptionsCli opt = parse_batch_flags(argc, argv, /*serve=*/false);
-  TraceSession trace;
-  if (!opt.trace_path.empty()) trace.open(opt.trace_path);
+  const std::string name = opt.name.empty() ? "batch" : opt.name;
 
   std::ifstream file;
   if (!opt.file_path.empty()) {
@@ -819,8 +712,8 @@ int cmd_batch(int argc, char** argv) {
   // stops feeding and discards the queued backlog (running jobs finish,
   // nothing new starts), and the process exits 2 without printing
   // partial results.
-  service::Scheduler scheduler(opt.sched);
-  service::JobQueue queue(opt.queue_capacity);
+  service::Scheduler scheduler(opt.serve.scheduler);
+  service::JobQueue queue(opt.serve.queue_capacity);
   std::string parse_error;
   std::thread producer([&] {
     std::string line;
@@ -866,25 +759,18 @@ int cmd_batch(int argc, char** argv) {
   }
   result.summary_table().print(std::cerr);
 
-  if (opt.json) {
-    const std::string path = opt.json_path.empty()
-                                 ? "BENCH_" + opt.name + ".json"
-                                 : opt.json_path;
-    std::ofstream os(path);
-    result.print_bench_json(os, opt.name);
-    os.flush();
-    if (!os.good()) {
-      std::cerr << "error: could not write " << path << "\n";
-      return 1;
-    }
-    std::cerr << "wrote " << path << "\n";
+  if (opt.json &&
+      !util::write_bench_json(
+          opt.json_path, name,
+          [&](std::ostream& os) { result.print_bench_json(os, name); },
+          std::cerr, std::cerr)) {
+    return 1;
   }
-  const int trace_rc = trace.finish();
   if (result.failed() > 0) {
     std::cerr << "error: " << result.failed() << " job(s) failed\n";
     return 1;
   }
-  return trace_rc;
+  return 0;
 }
 
 /// The serving net::Server, visible to the SIGINT/SIGTERM handlers.
@@ -896,10 +782,10 @@ extern "C" void serve_signal_handler(int) {
   if (server != nullptr) server->request_drain();
 }
 
-int cmd_serve(int argc, char** argv) {
-  const BatchOptionsCli opt = parse_batch_flags(argc, argv, /*serve=*/true);
-  TraceSession trace;
-  if (!opt.trace_path.empty()) trace.open(opt.trace_path);
+int cmd_serve(Options& opt) {
+  if (!opt.serve.stdio && opt.serve.listen_port < 0) {
+    usage_error("serve requires --listen=PORT or --stdin");
+  }
 
   // Both transports run the same net::Server connection handler —
   // --stdin is one pre-accepted connection on fd 0/1. Requests feed the
@@ -907,21 +793,13 @@ int cmd_serve(int argc, char** argv) {
   // order; the input line "metrics" answers with an obs registry
   // snapshot; malformed lines answer {"error":...,"line":N} instead of
   // killing the session (docs/SERVING.md has the full protocol).
-  net::ServerConfig cfg;
-  cfg.listen_port = opt.listen_port;
-  cfg.stdio = opt.use_stdin;
-  cfg.max_conns = opt.max_conns;
-  cfg.queue_capacity = opt.queue_capacity;
-  cfg.idle_timeout_s = opt.idle_timeout_s;
-  cfg.metrics_out = opt.metrics_out;
-  cfg.scheduler = opt.sched;
-  net::Server server(cfg);
+  net::Server server(opt.serve);
   try {
     server.start();
   } catch (const std::exception& e) {
     usage_error(e.what());
   }
-  if (opt.listen_port >= 0) {
+  if (opt.serve.listen_port >= 0) {
     std::cerr << "serve: listening on 127.0.0.1:" << server.port() << "\n";
   }
 
@@ -947,127 +825,129 @@ int cmd_serve(int argc, char** argv) {
             << " parse_errors=" << summary.parse_errors << " cache_hits="
             << summary.batch.cache.hits << " wall_ms="
             << util::json_number(summary.batch.wall_ms_total) << "\n";
-  return trace.finish();
+  return 0;
 }
 
-int cmd_loadgen(int argc, char** argv) {
-  net::LoadgenConfig cfg;
-  bool have_connect = false;
-  bool json = false;
-  std::string json_path;
-  std::string trace_path;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string v;
-    if (consume(arg, "--connect", &v)) {
-      // HOST:PORT, or a bare PORT for 127.0.0.1.
-      const std::size_t colon = v.rfind(':');
-      if (colon == std::string::npos) {
-        cfg.port = parse_port("--connect", v, /*allow_zero=*/false);
-      } else {
-        cfg.host = v.substr(0, colon);
-        if (cfg.host.empty()) {
-          usage_error("--connect expects HOST:PORT, got '" + v + "'");
-        }
-        cfg.port =
-            parse_port("--connect", v.substr(colon + 1), /*allow_zero=*/false);
-      }
-      have_connect = true;
-    } else if (consume(arg, "--jobs-file", &v)) {
-      cfg.jobs_file = v;
-    } else if (consume(arg, "--rate", &v)) {
-      cfg.rate = parse_double("--rate", v);
-      if (!(cfg.rate > 0.0)) usage_error("--rate must be > 0");
-    } else if (consume(arg, "--duration", &v)) {
-      cfg.duration_s = parse_double("--duration", v);
-      if (!(cfg.duration_s > 0.0)) usage_error("--duration must be > 0");
-    } else if (consume(arg, "--connections", &v)) {
-      cfg.connections = parse_size("--connections", v);
-      if (cfg.connections == 0) usage_error("--connections must be >= 1");
-    } else if (consume(arg, "--seed", &v)) {
-      cfg.seed = parse_size("--seed", v);
-    } else if (consume(arg, "--name", &v)) {
-      cfg.name = v;
-    } else if (arg == "--json") {
-      json = true;
-    } else if (consume(arg, "--json", &v)) {
-      json = true;
-      json_path = v;
-    } else if (consume(arg, "--trace", &v)) {
-      trace_path = v;
-    } else {
-      usage_error("unknown loadgen flag '" + arg + "'");
-    }
+int cmd_loadgen(Options& opt) {
+  if (opt.loadgen.port == 0) {
+    usage_error("loadgen requires --connect=HOST:PORT");
   }
-  if (!have_connect) usage_error("loadgen requires --connect=HOST:PORT");
-  if (cfg.jobs_file.empty()) {
+  if (opt.loadgen.jobs_file.empty()) {
     usage_error("loadgen requires --jobs-file=JOBS.jsonl");
   }
-
-  TraceSession trace;
-  if (!trace_path.empty()) trace.open(trace_path);
+  if (!opt.name.empty()) opt.loadgen.name = opt.name;
   std::signal(SIGPIPE, SIG_IGN);  // a dying server must not kill the client
 
   net::LoadgenResult result;
   try {
-    result = net::run_loadgen(cfg, std::cerr);
+    result = net::run_loadgen(opt.loadgen, std::cerr);
   } catch (const std::invalid_argument& e) {
     usage_error(e.what());  // bad config / unusable templates
   }
-  if (json) {
-    const std::string path =
-        json_path.empty() ? "BENCH_" + cfg.name + ".json" : json_path;
-    std::ofstream os(path);
-    result.print_bench_json(os, cfg.name);
-    os.flush();
-    if (!os.good()) {
-      std::cerr << "error: could not write " << path << "\n";
-      return 1;
-    }
-    std::cerr << "wrote " << path << "\n";
+  if (opt.json &&
+      !util::write_bench_json(
+          opt.json_path, opt.loadgen.name,
+          [&](std::ostream& os) {
+            result.print_bench_json(os, opt.loadgen.name);
+          },
+          std::cerr, std::cerr)) {
+    return 1;
   }
-  const int trace_rc = trace.finish();
   if (result.errors > 0 || result.lost > 0) {
     std::cerr << "error: " << result.errors << " error response(s), "
               << result.lost << " lost request(s)\n";
     return 1;
   }
-  return trace_rc;
+  return 0;
+}
+
+const CommandInfo kCommands[] = {
+    {"list", kList, "print the registered solvers", cmd_list},
+    {"solve", kSolve, "run the --algo solvers on one instance", cmd_solve},
+    {"bench", kBench,
+     "sweep a solver x instance grid (--preset, or --algo and --gen)",
+     cmd_bench},
+    {"batch", kBatch, "run a JSONL job stream (--file or --stdin)",
+     cmd_batch},
+    {"serve", kServe,
+     "serve jobs over TCP (--listen) or --stdin; see docs/SERVING.md",
+     cmd_serve},
+    {"loadgen", kLoadgen,
+     "open-loop load against serve --listen (--connect, --jobs-file)",
+     cmd_loadgen},
+};
+
+/// Prints `names` after `label`, wrapped at 78 columns.
+void print_names(std::ostream& os, const std::string& label,
+                 const std::string& names) {
+  std::string line = "  " + label + std::string(9 - label.size(), ' ');
+  std::istringstream words(names);
+  for (std::string word; words >> word;) {
+    if (line.size() + word.size() >= 78) {
+      os << line << "\n";
+      line = std::string(11, ' ');
+    }
+    line += ' ';
+    line += word;
+  }
+  os << line << "\n";
+}
+
+void print_help(std::ostream& os) {
+  os << "usage: wmatch_cli <command> [flags]\n\ncommands:\n";
+  for (const CommandInfo& c : kCommands) {
+    os << "  " << std::left << std::setw(10) << c.name << c.summary << "\n";
+  }
+  os << "  help      this text\n";
+  unsigned section = 0;
+  for (const Flag& f : kFlags) {
+    if (f.commands != section) {
+      section = f.commands;
+      std::vector<std::string> names;
+      for (const CommandInfo& c : kCommands) {
+        if (section & c.bit) names.push_back(c.name);
+      }
+      os << "\n" << join(names) << " flags:\n";
+    }
+    std::string usage = f.name;
+    if (f.arity == kValue) usage += "=" + std::string(f.metavar);
+    if (f.arity == kOptional) {
+      usage += "[=" + std::string(f.metavar) + "]";
+    }
+    os << "  " << std::left << std::setw(19) << usage << ' ' << f.help << "\n";
+  }
+  os << "\nnames (an unknown name also lists them):\n";
+  print_names(os, "--algo", solver_names());
+  print_names(os, "--gen", join(api::known_generators()));
+  print_names(os, "--weights", kWeightNames);
+  print_names(os, "--order", kOrderNames);
+  print_names(os, "--preset", join(sweep::preset_names()));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) {
-    print_help();
+    print_help(std::cout);
     return 2;
   }
-  const std::string cmd = argv[1];
-  try {
-    if (cmd == "help" || cmd == "--help" || cmd == "-h") {
-      print_help();
-      return 0;
-    }
-    if (cmd == "list") {
-      bool json = false;
-      for (int i = 2; i < argc; ++i) {
-        if (std::string(argv[i]) == "--json") {
-          json = true;
-        } else {
-          usage_error("unknown flag '" + std::string(argv[i]) +
-                      "' (list supports --json)");
-        }
-      }
-      return cmd_list(json);
-    }
-    if (cmd == "solve") return cmd_solve(argc, argv);
-    if (cmd == "bench") return cmd_bench(argc, argv);
-    if (cmd == "batch") return cmd_batch(argc, argv);
-    if (cmd == "serve") return cmd_serve(argc, argv);
-    if (cmd == "loadgen") return cmd_loadgen(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
+  const std::string name = argv[1];
+  if (name == "help" || name == "--help" || name == "-h") {
+    print_help(std::cout);
+    return 0;
   }
-  usage_error("unknown command '" + cmd + "'");
+  for (const CommandInfo& cmd : kCommands) {
+    if (name != cmd.name) continue;
+    try {
+      Options opt = parse_flags(cmd, argc, argv);
+      TraceSession trace(opt.trace_path);
+      const int rc = cmd.run(opt);
+      const int trace_rc = trace.finish();
+      return rc != 0 ? rc : trace_rc;
+    } catch (const std::exception& e) {
+      std::cerr << "error: " << e.what() << "\n";
+      return 1;
+    }
+  }
+  usage_error("unknown command '" + name + "'");
 }

@@ -5,7 +5,7 @@ Static checks enforcing the contracts DESIGN.md states in prose. Run from
 anywhere; `--root` points at the repo (default: the script's parent's
 parent). Run as a ctest target (`lint_invariants`) and as a CI step.
 
-Checks, each reporting every violation before the nonzero exit:
+Five checks, each reporting every violation before the nonzero exit:
 
   determinism   No code outside src/obs/ reads a clock (std::chrono,
                 steady_clock, clock_gettime, ...) or draws OS randomness
@@ -37,14 +37,6 @@ Checks, each reporting every violation before the nonzero exit:
                 ensure_adjacency entry point anywhere under src/.
                 Adjacency is frozen into a GraphView exactly once, at
                 construction.
-
-  cli-docs      The `wmatch_cli help` text (the string literals of
-                print_help() in cli/wmatch_cli.cpp) is embedded verbatim
-                in README.md's CLI reference block, every --flag it
-                documents has a parse site (consume(arg, "--flag") or
-                arg == "--flag"), and every parsed flag is documented in
-                the help text. Keeps README, --help, and the parser from
-                drifting apart (ISSUE 8 satellite).
 
 Exit 0 with a per-check summary when clean; exit 1 listing every
 violation otherwise. `--list-checks` prints the check names.
@@ -256,57 +248,12 @@ def check_metric_docs(root):
     return violations
 
 
-FLAG_RE = r"--[a-z][a-z0-9-]*"
-
-
-def cli_help_text(root):
-    """The rendered `wmatch_cli help` text: the concatenated, unescaped
-    string literals of print_help()."""
-    text = (root / "cli/wmatch_cli.cpp").read_text()
-    m = re.search(r"void print_help\(\)\s*\{(.*?)\n\}", text, re.S)
-    if not m:
-        sys.exit("lint_invariants: error: print_help() not found in "
-                 "cli/wmatch_cli.cpp — extraction pattern broke?")
-    literals = re.findall(r'"((?:[^"\\]|\\.)*)"', m.group(1))
-    if not literals:
-        sys.exit("lint_invariants: error: print_help() contains no string "
-                 "literals — extraction pattern broke?")
-    return re.sub(r"\\(.)", lambda g: {"n": "\n", "t": "\t"}.get(
-        g.group(1), g.group(1)), "".join(literals))
-
-
-def check_cli_docs(root):
-    violations = []
-    src = (root / "cli/wmatch_cli.cpp").read_text()
-    help_txt = cli_help_text(root)
-    readme = (root / "README.md").read_text()
-    if help_txt.strip() not in readme:
-        violations.append(
-            "README.md: the `wmatch_cli help` text is not embedded "
-            "verbatim — regenerate the CLI reference block from "
-            "`wmatch_cli help` output")
-    help_flags = set(re.findall(FLAG_RE, help_txt))
-    parsed = set(re.findall(
-        r'consume\(arg,\s*"(' + FLAG_RE + r')"', src))
-    parsed |= set(re.findall(r'arg\s*==\s*"(' + FLAG_RE + r')"', src))
-    for flag in sorted(help_flags - parsed):
-        violations.append(
-            f"cli/wmatch_cli.cpp: --help documents '{flag}' but no parse "
-            "site (consume(arg, ...) / arg == ...) handles it")
-    for flag in sorted(parsed - help_flags):
-        violations.append(
-            f"cli/wmatch_cli.cpp: flag '{flag}' is parsed but missing "
-            "from the print_help() text")
-    return violations
-
-
 CHECKS = {
     "determinism": check_determinism,
     "no-stdout": check_no_stdout,
     "no-mutable-graph": check_no_mutable_graph,
     "solver-docs": check_solver_docs,
     "metric-docs": check_metric_docs,
-    "cli-docs": check_cli_docs,
 }
 
 

@@ -1,8 +1,10 @@
 #include "api/registry.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "obs/obs.h"
+#include "util/json.h"
 #include "util/require.h"
 
 namespace wmatch::api {
@@ -60,6 +62,22 @@ std::vector<SolverInfo> Registry::list() const {
               return a.name < b.name;
             });
   return out;
+}
+
+void check_epsilon(double epsilon, std::string_view what) {
+  if (!(epsilon > 0.0 && epsilon < 1.0)) {
+    throw std::invalid_argument(std::string(what) +
+                                " must be in (0,1), got " +
+                                util::json_number(epsilon));
+  }
+}
+
+void check_delta(double delta, std::string_view what) {
+  if (!(delta >= 0.0 && delta < 1.0)) {
+    throw std::invalid_argument(std::string(what) +
+                                " must be in [0,1) (0 = epsilon/2), got " +
+                                util::json_number(delta));
+  }
 }
 
 Solver::Solver(const std::string& algorithm) : name_(algorithm) {

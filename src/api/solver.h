@@ -104,6 +104,14 @@ struct SolverSpec {
   }
 };
 
+/// Range checks for the accuracy knobs, run where input is parsed (CLI
+/// flags, job lines) so a bad value is an input error instead of a
+/// requirement failure deep inside a solver. epsilon must lie in (0,1);
+/// delta in [0,1), 0 selecting epsilon/2. Both throw std::invalid_argument
+/// naming `what` (the flag or job key the value came from).
+void check_epsilon(double epsilon, std::string_view what);
+void check_delta(double delta, std::string_view what);
+
 /// Facade: looks the algorithm up in the registry at construction (throws
 /// std::invalid_argument for unknown names) and runs it. `solve` fills
 /// `algorithm` and `cost.wall_ms`; everything else comes from the backend.

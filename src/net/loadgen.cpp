@@ -124,7 +124,11 @@ struct ClientConn {
 };
 
 struct Pending {
-  std::uint64_t send_ns = 0;
+  /// The request's scheduled arrival time. Latency runs from here, not
+  /// from when write_all returned: a send that blocks (the server's worker
+  /// busy on this CPU) or starts late is part of what an open-loop client
+  /// measures.
+  std::uint64_t due_ns = 0;
   std::size_t tmpl = 0;
   /// Nonzero when the request carried a trace context ("trace":{"id":K})
   /// — the id of the "req" flow and client.request async span to close
@@ -268,7 +272,7 @@ LoadgenResult run_loadgen(const LoadgenConfig& config, std::ostream& log) {
       return;
     }
     TemplateStats& stats = res.templates[it->second.tmpl];
-    const double latency = ms_since(it->second.send_ns, now);
+    const double latency = ms_since(it->second.due_ns, now);
     last_response = now;
     if (it->second.trace_id != 0) {
       // Close the client half of the request's telemetry: the "req" flow
@@ -364,7 +368,7 @@ LoadgenResult run_loadgen(const LoadgenConfig& config, std::ostream& log) {
           obs::async_begin("client.request", trace_id);
         }
         if (write_all(conn.fd, line.str())) {
-          pending.emplace(id, Pending{obs::monotonic_ns(), t, trace_id});
+          pending.emplace(id, Pending{due, t, trace_id});
           ++res.sent;
           ++res.templates[t].sent;
         } else {

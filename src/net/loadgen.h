@@ -11,12 +11,13 @@
 // Requests are the job lines of --jobs-file, cycled round-robin across
 // arrivals and connections, each re-stamped with a unique id
 // ("lg-<conn>-<k>") so responses — which arrive in completion order —
-// can be matched back to their send times. Per-template end-to-end
-// latency lands in a schema-versioned BENCH JSON document
-// (wall_ms.median = median e2e latency) that
-// scripts/check_bench_regression.py gates on the solver counters echoed
-// in the responses and scripts/append_bench_history.py reads as the
-// serving-latency trajectory.
+// can be matched back to their scheduled arrival times. End-to-end
+// latency runs from that due time to the response, so a send that blocks
+// or starts late counts against the server. Per-template latency lands
+// in a schema-versioned BENCH JSON document (wall_ms.median = median e2e
+// latency) that scripts/check_bench_regression.py gates on the solver
+// counters echoed in the responses and scripts/append_bench_history.py
+// reads as the serving-latency trajectory.
 //
 // Determinism: the arrival schedule is a pure function of --seed; solver
 // counters in the responses are bit-identical to local runs (the serve

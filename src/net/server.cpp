@@ -1,7 +1,6 @@
 #include "net/server.h"
 
 #include <poll.h>
-#include <sys/socket.h>
 
 #include <atomic>
 #include <cerrno>
@@ -154,11 +153,8 @@ struct Server::Impl {
   void accept_ready(std::ostream& log) {
     NetMetrics& m = net_metrics();
     for (;;) {
-      const int fd = ::accept(listen_fd, nullptr, nullptr);
-      if (fd < 0) {
-        if (errno == EINTR) continue;
-        return;  // EAGAIN (no more pending) or transient accept failure
-      }
+      const int fd = accept_tcp(listen_fd);
+      if (fd < 0) return;  // none pending, or a transient accept failure
       std::size_t active;
       {
         std::lock_guard<std::mutex> lk(conns_mu);

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -51,6 +52,18 @@ int bound_port(int fd) {
     return -1;
   }
   return static_cast<int>(ntohs(addr.sin_port));
+}
+
+int accept_tcp(int listen_fd) {
+  int fd = -1;
+  do {
+    fd = ::accept(listen_fd, nullptr, nullptr);
+  } while (fd < 0 && errno == EINTR);
+  if (fd >= 0) {
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  }
+  return fd;
 }
 
 int connect_tcp(const std::string& host, int port, std::string* error) {

@@ -25,6 +25,12 @@ int listen_tcp(int port, std::string* error);
 /// Returns -1 on failure.
 int bound_port(int fd);
 
+/// Accepts one pending connection on `listen_fd`, retrying on EINTR, and
+/// sets TCP_NODELAY on it: every response is a small write, which Nagle
+/// would otherwise hold until the peer ACKs the previous one. Returns the
+/// connected fd, or -1 when none is pending (or accept failed).
+int accept_tcp(int listen_fd);
+
 /// Blocking connect to host:port. Returns the connected fd, or -1 with
 /// *error set. `host` must be a numeric IPv4 address ("127.0.0.1").
 int connect_tcp(const std::string& host, int port, std::string* error);

@@ -138,6 +138,8 @@ JobSpec parse_job(const std::string& line) {
     bad("\"machines\"/\"mem_words\" and \"p\"/\"beta\" are mutually "
         "exclusive (one typed knob set per job)");
   }
+  api::check_epsilon(job.spec.epsilon, "\"epsilon\"");
+  api::check_delta(job.spec.delta, "\"delta\"");
   if (mpc_set) job.spec.knobs = mpc;
   if (arrival_set) job.spec.knobs = arrival;
 

@@ -1,10 +1,11 @@
-// Minimal JSON emission helpers shared by Table::print_json and the api
-// layer's SolveResult reports. Only writing is supported — the library
-// never parses JSON.
+// Minimal JSON emission helpers shared by Table::print_json, the api
+// layer's SolveResult reports and the BENCH document writers. Only
+// writing is supported — parsing lives in util/json_parse.h.
 #pragma once
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -53,6 +54,26 @@ inline void write_json_string(std::ostream& os, std::string_view s) {
     }
   }
   os << '"';
+}
+
+/// The one write path for BENCH documents (wmatch_cli bench / batch /
+/// loadgen and the bench_* binaries): streams `write(os)` into `path`, or
+/// BENCH_<id>.json when `path` is empty, then reports "wrote PATH" on
+/// `log`. A failed write reports "error: could not write PATH" on `err`
+/// and returns false, so the caller can exit non-zero.
+template <typename Write>
+bool write_bench_json(const std::string& path, const std::string& id,
+                      Write&& write, std::ostream& log, std::ostream& err) {
+  const std::string out = path.empty() ? "BENCH_" + id + ".json" : path;
+  std::ofstream os(out);
+  write(os);
+  os.flush();
+  if (!os.good()) {
+    err << "error: could not write " << out << "\n";
+    return false;
+  }
+  log << "wrote " << out << "\n";
+  return true;
 }
 
 }  // namespace wmatch::util

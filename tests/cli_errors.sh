@@ -54,13 +54,28 @@ expect_error 2 "unknown arrival order 'sorted'" \
   solve --algo=greedy --order=sorted
 expect_error 2 "--n expects a non-negative integer" \
   solve --algo=greedy --n=ten
-expect_error 2 "unknown flag" solve --algo=greedy --frobnicate=1
+expect_error 2 "unknown solve flag" solve --algo=greedy --frobnicate=1
 expect_error 2 "unknown command 'frobnicate'" frobnicate
 expect_error 2 "requires --algo" solve
 expect_error 2 "expects a density" \
   solve --algo=greedy --gen=hard-planted-augs --gen-beta=1.5
 expect_error 2 "expects a density" \
-  bench --algo=greedy --gen=hard-planted-augs --n=16 --beta=-0.1 --seeds=1
+  bench --algo=greedy --gen=hard-planted-augs --n=16 --gen-beta=-0.1 --seeds=1
+# --beta is solve's random-arrival knob; the density is --gen-beta everywhere
+expect_error 2 "unknown bench flag '--beta=0.5'" \
+  bench --algo=greedy --gen=hard-planted-augs --n=16 --beta=0.5 --seeds=1
+# epsilon must lie in (0,1) and delta in [0,1): rejected where the flag or
+# job line is parsed, not by a requirement failure inside a solver
+expect_error 2 "--epsilon must be in (0,1), got 2" \
+  solve --algo=reduction-hk --n=10 --m=20 --epsilon=2
+expect_error 2 "--epsilon must be in (0,1), got 0" \
+  solve --algo=greedy --n=10 --m=20 --epsilon=0
+expect_error 2 "--delta must be in \[0,1)" \
+  solve --algo=reduction-hk --n=10 --m=20 --delta=5
+expect_error 2 "--epsilon must be in (0,1), got 1" \
+  bench --algo=greedy --gen=path --n=8 --epsilon=0.1,1 --seeds=1
+expect_error 2 "--delta must be in \[0,1)" \
+  bench --algo=greedy --gen=path --n=8 --delta=-0.5 --seeds=1
 expect_error 2 "unknown bench preset 'e99'" bench --preset=e99
 # the diagnostic must advertise the full preset list (e10/e11 ported in
 # ISSUE 9, e12/e13 in ISSUE 10)
@@ -97,6 +112,14 @@ printf '{"algo":"greedy","gen":"path",}\n' > "$tmpdir/badjson.jsonl"
 expect_error 2 "badjson.jsonl:1:" batch --file="$tmpdir/badjson.jsonl"
 printf '{"algo":"nope","gen":"path"}\n' > "$tmpdir/badsolver.jsonl"
 expect_error 2 "unknown solver 'nope'" batch --file="$tmpdir/badsolver.jsonl"
+printf '{"algo":"reduction-hk","gen":"path","epsilon":2}\n' \
+  > "$tmpdir/badeps.jsonl"
+expect_error 2 'badeps.jsonl:1: "epsilon" must be in (0,1), got 2' \
+  batch --file="$tmpdir/badeps.jsonl"
+printf '{"algo":"reduction-hk","gen":"path","delta":5}\n' \
+  > "$tmpdir/baddelta.jsonl"
+expect_error 2 'baddelta.jsonl:1: "delta" must be in \[0,1)' \
+  batch --file="$tmpdir/baddelta.jsonl"
 expect_error 2 "requires --listen=PORT or --stdin" serve
 
 # serve --listen / loadgen (ISSUE 8): malformed ports, addresses, and
@@ -159,6 +182,18 @@ expect_ok bench --algo=greedy --gen=hard-greedy-trap --n=16 --seeds=1
 printf '# two jobs, one shared instance\n{"algo":"greedy","gen":{"generator":"erdos_renyi","n":20,"m":40},"seed":3}\n{"algo":"local-ratio","gen":{"generator":"erdos_renyi","n":20,"m":40},"seed":3}\n' \
   > "$tmpdir/ok.jsonl"
 expect_ok batch --file="$tmpdir/ok.jsonl" --jobs=2
+
+# README.md's CLI reference embeds the generated `wmatch_cli help` text
+# verbatim (the parser and the help text come from one flag table).
+help_text=$("$bin" help)
+readme_text=$(cat "$(dirname "$0")/../README.md")
+if [[ "$readme_text" == *"$help_text"* ]]; then
+  echo "ok: README.md embeds the wmatch_cli help text"
+else
+  echo "FAIL: README.md does not embed the current \`wmatch_cli help\` text;"
+  echo "      regenerate its CLI reference block from ./build/wmatch_cli help"
+  failures=$((failures + 1))
+fi
 
 if [ "$failures" -ne 0 ]; then
   echo "$failures CLI error-path check(s) failed"

@@ -13,6 +13,8 @@
 // both sides trace into the same in-process tracer.
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 
@@ -587,6 +589,25 @@ TEST(NetSocket, EphemeralListenerReportsBoundPort) {
   EXPECT_LT(dup, 0);
   EXPECT_FALSE(error.empty());
   net::close_fd(fd);
+}
+
+TEST(NetSocket, AcceptedSocketsDisableNagle) {
+  // Responses are small writes; with Nagle on, each waits for the peer's
+  // ACK of the previous one.
+  std::string error;
+  const int lfd = net::listen_tcp(0, &error);
+  ASSERT_GE(lfd, 0) << error;
+  const int cfd = net::connect_tcp("127.0.0.1", net::bound_port(lfd), &error);
+  ASSERT_GE(cfd, 0) << error;
+  const int afd = net::accept_tcp(lfd);
+  ASSERT_GE(afd, 0);
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(afd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
+  EXPECT_NE(nodelay, 0);
+  net::close_fd(afd);
+  net::close_fd(cfd);
+  net::close_fd(lfd);
 }
 
 TEST(NetSocket, ConnectToClosedPortFails) {

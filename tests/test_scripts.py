@@ -636,57 +636,6 @@ class LintInvariantsTest(unittest.TestCase):
                                   "no-mutable-graph")
         self.assertEqual(code, 0, out)
 
-    # cli-docs: --help text vs README vs the parser must agree.
-
-    CLI_OK = (
-        'void print_help() {\n'
-        '  std::cout <<\n'
-        '      "usage: tool\\n"\n'
-        '      "  --alpha=N   a knob\\n";\n'
-        '}\n'
-        'void parse(const std::string& arg) {\n'
-        '  std::string v;\n'
-        '  if (consume(arg, "--alpha", &v)) {}\n'
-        '}\n')
-    README_OK = "```\nusage: tool\n  --alpha=N   a knob\n```\n"
-
-    def test_cli_docs_in_sync_passes(self):
-        code, out = self.run_lint(
-            {"cli/wmatch_cli.cpp": self.CLI_OK, "README.md": self.README_OK,
-             "src/x.cpp": ""}, "cli-docs")
-        self.assertEqual(code, 0, out)
-
-    def test_help_flag_without_parse_site_flagged(self):
-        cli = self.CLI_OK.replace('"  --alpha=N   a knob\\n";',
-                                  '"  --alpha=N   a knob\\n"\n'
-                                  '      "  --ghost=N   gone\\n";')
-        readme = self.README_OK.replace(
-            "  --alpha=N   a knob", "  --alpha=N   a knob\n  --ghost=N   gone")
-        code, out = self.run_lint(
-            {"cli/wmatch_cli.cpp": cli, "README.md": readme,
-             "src/x.cpp": ""}, "cli-docs")
-        self.assertEqual(code, 1, out)
-        self.assertIn("'--ghost' but no parse site", out)
-
-    def test_parsed_flag_missing_from_help_flagged(self):
-        cli = self.CLI_OK.replace(
-            'if (consume(arg, "--alpha", &v)) {}',
-            'if (consume(arg, "--alpha", &v)) {}\n'
-            '  else if (arg == "--hidden") {}')
-        code, out = self.run_lint(
-            {"cli/wmatch_cli.cpp": cli, "README.md": self.README_OK,
-             "src/x.cpp": ""}, "cli-docs")
-        self.assertEqual(code, 1, out)
-        self.assertIn("'--hidden' is parsed but missing", out)
-
-    def test_stale_readme_help_block_flagged(self):
-        readme = self.README_OK.replace("a knob", "an old description")
-        code, out = self.run_lint(
-            {"cli/wmatch_cli.cpp": self.CLI_OK, "README.md": readme,
-             "src/x.cpp": ""}, "cli-docs")
-        self.assertEqual(code, 1, out)
-        self.assertIn("not embedded verbatim", out)
-
 
 if __name__ == "__main__":
     unittest.main(verbosity=2)

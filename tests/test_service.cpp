@@ -11,6 +11,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "service/service.h"
 #include "sweep/sweep.h"
@@ -243,6 +244,36 @@ TEST(JobFile, ParseJobsReportsLineNumbersAndStampsIds) {
     EXPECT_NE(std::string(e.what()).find("jobs.jsonl:1:"),
               std::string::npos);
   }
+}
+
+TEST(JobFile, OutOfRangeEpsilonOrDeltaIsALineParseError) {
+  // Rejected where the line is parsed, as a line error naming the key —
+  // not by a requirement failure (and its source path) inside the solver.
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"algo":"reduction-hk","gen":"path","epsilon":2})",
+       "jobs.jsonl:3: \"epsilon\" must be in (0,1), got 2"},
+      {R"({"algo":"greedy","gen":"path","epsilon":0})",
+       "jobs.jsonl:3: \"epsilon\" must be in (0,1), got 0"},
+      {R"({"algo":"reduction-hk","gen":"path","delta":5})",
+       "jobs.jsonl:3: \"delta\" must be in [0,1) (0 = epsilon/2), got 5"},
+      {R"({"algo":"reduction-hk","gen":"path","delta":-0.5})",
+       "jobs.jsonl:3: \"delta\" must be in [0,1) (0 = epsilon/2), got -0.5"},
+  };
+  for (const auto& [line, message] : cases) {
+    service::JobSpec job;
+    try {
+      service::parse_job_line(line, "jobs.jsonl", 3, 0, &job);
+      ADD_FAILURE() << "accepted " << line;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), message);
+    }
+  }
+  service::JobSpec job;  // the boundaries that stay legal
+  ASSERT_TRUE(service::parse_job_line(
+      R"({"algo":"reduction-hk","gen":"path","epsilon":0.5,"delta":0})",
+      "jobs.jsonl", 1, 0, &job));
+  EXPECT_EQ(job.spec.epsilon, 0.5);
+  EXPECT_EQ(job.spec.delta, 0.0);
 }
 
 // ---- cache keys ----
