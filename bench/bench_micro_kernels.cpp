@@ -1,8 +1,13 @@
 // Micro-benchmarks for the library's hot kernels. Two sections:
 //
-//  1. Data-plane kernel section (default; no external dependency):
-//     deterministic median-of-K timings for the layout primitives the
-//     immutable data plane introduced —
+//  1. Kernel section (default; no external dependency): deterministic
+//     median-of-K timings for the reduction's hot path over the `ci`
+//     bipartite instance's classes (bench/hot_path.h) —
+//       tau-pairs       pairs_for_values over every class's value sets
+//       layered-build   every class pair through one LayeredGraphBuilder
+//     (their checksums equal the reference implementations', asserted by
+//     tests/test_tau.cpp and tests/test_layered_graph.cpp), and for the
+//     layout primitives the immutable data plane introduced —
 //       csr-neighbor-scan   vs  legacy-adjacency-scan
 //         (frozen CSR slot arrays vs the old lazy path's rebuild +
 //          edge-table indirection, same traversal, same checksum)
@@ -30,9 +35,12 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "core/layered_graph.h"
+#include "core/tau.h"
 #include "exact/hopcroft_karp.h"
 #include "gen/generators.h"
 #include "gen/weights.h"
+#include "hot_path.h"
 #include "runtime/arena.h"
 #include "runtime/thread_pool.h"
 #include "util/bitset.h"
@@ -220,9 +228,11 @@ void write_kernels_json(std::ostream& os,
 
 int run_kernel_section(const bench::Args& args) {
   bench::header(
-      "micro kernels / data-plane layout",
-      "Frozen-CSR scan vs the legacy lazy rebuild + edge-table "
-      "indirection; word-parallel bitset HK BFS vs the scalar reference "
+      "micro kernels / reduction hot path + data-plane layout",
+      "Tau-pair enumeration and layered-graph builds over the ci "
+      "bipartite instance's classes; frozen-CSR scan vs the legacy lazy "
+      "rebuild + edge-table indirection; word-parallel bitset HK BFS vs "
+      "the scalar reference "
       "(identical dist labels, asserted); arena-backed fork scratch vs "
       "fresh heap vectors. Median of 9 reps, informational wall-ms.");
 
@@ -233,24 +243,40 @@ int run_kernel_section(const bench::Args& args) {
       runtime::pool_for(runtime::RuntimeConfig{args.threads});
   runtime::Arena arena;
 
+  const bench::hot_path::Inputs hot = bench::hot_path::ci_bipartite_inputs();
+
   std::vector<KernelResult> results;
+  results.push_back(run_kernel("tau-pairs", [&] {
+    return bench::hot_path::tau_pairs_checksum(hot, core::pairs_for_values);
+  }));
+  results.push_back(run_kernel("layered-build", [&] {
+    core::LayeredGraphBuilder builder;
+    return bench::hot_path::layered_build_checksum(
+        hot, [&](const bench::hot_path::ClassInput& c,
+                 const core::TauPair& tau) {
+          return builder.build(c.buckets, hot.m, c.par, tau,
+                               hot.g.num_vertices());
+        });
+  }));
+  const std::size_t scan_at = results.size();
   results.push_back(run_kernel("csr-neighbor-scan",
                                [&] { return csr_neighbor_scan(scan_view); }));
   results.push_back(run_kernel("legacy-adjacency-scan", [&] {
     return legacy_adjacency_scan(scan_view.num_vertices(), scan_view.edges(),
                                  offsets, edge_ids);
   }));
-  if (results[0].checksum != results[1].checksum) {
+  if (results[scan_at].checksum != results[scan_at + 1].checksum) {
     std::cerr << "error: CSR and legacy scans disagree\n";
     return 1;
   }
+  const std::size_t bfs_at = results.size();
   results.push_back(run_kernel("hk-bfs-bitset", [&] {
     return bfs_checksum(bfs, pool, exact::HkFrontier::kBitset);
   }));
   results.push_back(run_kernel("hk-bfs-scalar", [&] {
     return bfs_checksum(bfs, pool, exact::HkFrontier::kScalar);
   }));
-  if (results[2].checksum != results[3].checksum) {
+  if (results[bfs_at].checksum != results[bfs_at + 1].checksum) {
     std::cerr << "error: bitset and scalar BFS layerings disagree\n";
     return 1;
   }
@@ -273,8 +299,10 @@ int run_kernel_section(const bench::Args& args) {
     return 1;
   }
   bench::footer(
-      "csr-neighbor-scan beats legacy-adjacency-scan (no rebuild, no "
-      "edge-table indirection); the bitset BFS tracks the scalar one with "
+      "tau-pairs and layered-build are the reduction's per-class "
+      "scaffolding (the black box is not in them); csr-neighbor-scan "
+      "beats legacy-adjacency-scan (no rebuild, no edge-table "
+      "indirection); the bitset BFS tracks the scalar one with "
       "the same checksum; arena-fork-scratch amortizes away "
       "heap-fork-scratch's per-fork allocations.");
   return 0;

@@ -1,0 +1,135 @@
+// Inputs and checksums for the reduction's hot-path kernels: tau-pair
+// enumeration and layered-graph builds, as find_class_augmentations runs
+// them.
+//
+// The inputs are the `ci` preset's bipartite reduction instance (n=200,
+// m=800, uniform weights up to 4096, seed 1) under its greedy-by-weight
+// matching, cut into the reduction's weight-class ladder; each class gets
+// its own random parametrization, bucketed crossing edges and value sets.
+// bench_micro_kernels times the library over them; the tests feed the same
+// inputs to the reference implementations and require equal checksums.
+#pragma once
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <optional>
+#include <vector>
+
+#include "api/instance.h"
+#include "baselines/greedy.h"
+#include "core/layered_graph.h"
+#include "core/main_alg.h"
+#include "core/tau.h"
+#include "util/rng.h"
+
+namespace wmatch::bench::hot_path {
+
+struct ClassInput {
+  core::Parametrization par;
+  core::BucketedEdges buckets;
+  std::vector<int> a_vals, b_vals;  ///< pairs_for_values inputs
+  std::uint64_t seed = 0;           ///< the class's pair-sampling seed
+  std::vector<core::TauPair> pairs; ///< library pairs (layered-build input)
+};
+
+struct Inputs {
+  GraphView g;
+  Matching m;
+  core::TauConfig tau;
+  std::vector<ClassInput> classes;
+};
+
+inline Inputs ci_bipartite_inputs() {
+  api::GenSpec spec;
+  spec.generator = "bipartite";
+  spec.n = 200;
+  spec.m = 800;
+  Inputs in;
+  in.g = api::generate_instance(spec).graph;
+  in.m = baselines::greedy_by_weight(in.g);
+
+  // The reduction's class ladder: (max_layers + 1) * max_w halving down
+  // to the lightest edge, as maximum_weight_matching builds it.
+  const core::ReductionConfig cfg;
+  Weight min_w = in.g.max_weight();
+  for (const Edge& e : in.g.edges()) min_w = std::min(min_w, e.w);
+  double w = static_cast<double>(in.g.max_weight()) *
+             static_cast<double>(cfg.tau.max_layers + 1);
+  in.tau = cfg.tau;
+  Rng rng(1);
+  while (w >= static_cast<double>(min_w) &&
+         in.classes.size() < cfg.max_classes) {
+    const Weight w_class = static_cast<Weight>(std::llround(w));
+    w /= cfg.class_base;
+    ClassInput c;
+    c.par = core::random_parametrization(in.g.num_vertices(), rng);
+    c.buckets = core::bucket_edges(core::crossing_edges(in.g, in.m, c.par),
+                                   core::quantum(w_class, in.tau),
+                                   core::max_units(in.tau));
+    c.a_vals = c.buckets.matched_values();
+    c.b_vals = c.buckets.unmatched_values();
+    c.seed = rng.next();
+    Rng pair_rng(c.seed);
+    c.pairs = core::pairs_for_values(c.a_vals, c.b_vals, in.tau, pair_rng);
+    in.classes.push_back(std::move(c));
+  }
+  return in;
+}
+
+inline std::uint64_t fold(std::uint64_t h, std::uint64_t x) {
+  return (h ^ x) * 0x100000001b3ULL;
+}
+
+/// Folds every pair of every class, and each class's generator state
+/// after enumeration. `pairs(a_vals, b_vals, cfg, rng)` is pairs_for_values
+/// or a reference with its signature.
+template <typename PairsFn>
+std::uint64_t tau_pairs_checksum(const Inputs& in, PairsFn&& pairs) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const ClassInput& c : in.classes) {
+    Rng rng(c.seed);
+    for (const core::TauPair& p : pairs(c.a_vals, c.b_vals, in.tau, rng)) {
+      h = fold(h, p.tau_a.size());
+      for (int a : p.tau_a) h = fold(h, static_cast<std::uint64_t>(a));
+      for (int b : p.tau_b) h = fold(h, static_cast<std::uint64_t>(b));
+    }
+    h = fold(h, rng.next());
+  }
+  return h;
+}
+
+/// Folds every field of every useful layered graph of every class pair
+/// (compressed ids, layers, sides, edges in order, the intermediate
+/// matching) and the index of every useless pair.
+/// `build(class_input, pair)` returns the layered graph, or nullopt when
+/// the pair has no between-layer edge.
+template <typename BuildFn>
+std::uint64_t layered_build_checksum(const Inputs& in, BuildFn&& build) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const ClassInput& c : in.classes) {
+    for (std::size_t i = 0; i < c.pairs.size(); ++i) {
+      const std::optional<core::LayeredGraph> lg = build(c, c.pairs[i]);
+      if (!lg) {
+        h = fold(h, i);
+        continue;
+      }
+      h = fold(h, lg->layers);
+      h = fold(h, lg->num_between_edges);
+      for (std::size_t v = 0; v < lg->original.size(); ++v) {
+        h = fold(h, lg->original[v]);
+        h = fold(h, lg->layer_of[v]);
+        h = fold(h, static_cast<std::uint64_t>(lg->side[v]));
+      }
+      for (const Edge& e : lg->lprime.edges()) {
+        h = fold(h, e.u);
+        h = fold(h, e.v);
+        h = fold(h, static_cast<std::uint64_t>(e.w));
+      }
+      for (const Edge& e : lg->ml.edges()) h = fold(h, e.key());
+    }
+  }
+  return h;
+}
+
+}  // namespace wmatch::bench::hot_path

@@ -1,9 +1,6 @@
 #include "core/layered_graph.h"
 
 #include <algorithm>
-#include <limits>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "runtime/parallel.h"
 #include "runtime/thread_pool.h"
@@ -73,48 +70,59 @@ std::vector<int> BucketedEdges::unmatched_values() const {
   return out;
 }
 
-LayeredGraph build_layered_graph(const BucketedEdges& edges,
-                                 const Matching& m, const Parametrization& par,
-                                 const TauPair& tau, std::size_t n,
-                                 const runtime::RuntimeConfig& rt) {
+std::optional<LayeredGraph> LayeredGraphBuilder::build(
+    const BucketedEdges& edges, const Matching& m, const Parametrization& par,
+    const TauPair& tau, std::size_t n, const runtime::RuntimeConfig& rt) {
   const std::size_t layers = tau.num_layers();
   WMATCH_REQUIRE(layers >= 2, "layered graph needs >= 2 layers");
   const std::size_t k = layers - 1;
   const int umax = static_cast<int>(edges.matched.size()) - 1;
 
-  LayeredGraph out;
-  out.layers = layers;
-
   // Fast reject: every layer with a positive threshold and every gap must
   // have candidate edges (an endpoint layer with tau_a > 0 only admits
   // X-matched vertices, so its bucket must be non-empty too).
-  for (std::size_t t = 0; t < layers; ++t) {
-    int a = tau.tau_a[t];
-    if (a > umax) return out;
+  for (int a : tau.tau_a) {
+    if (a > umax) return std::nullopt;
     if (a > 0 && edges.matched[static_cast<std::size_t>(a)].empty()) {
-      return out;
+      return std::nullopt;
     }
   }
   for (int b : tau.tau_b) {
     if (b > umax || edges.unmatched[static_cast<std::size_t>(b)].empty()) {
-      return out;
+      return std::nullopt;
     }
   }
 
-  // Matched-vertex presence per layer, keyed by t*n + v. Hash maps keep
-  // the per-pair cost proportional to the bucket sizes, not to n.
-  std::unordered_set<std::uint64_t> x_present;
+  // A new epoch invalidates every slot of the previous build at once.
+  if (slots_.size() < layers * n) slots_.resize(layers * n);
+  if (++epoch_ == 0) {
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+    epoch_ = 1;
+  }
+
+  // Matched-vertex presence per layer.
   for (std::size_t t = 0; t < layers; ++t) {
-    int a = tau.tau_a[t];
+    const int a = tau.tau_a[t];
     if (a <= 0) continue;
     for (const Edge& e : edges.matched[static_cast<std::size_t>(a)]) {
-      x_present.insert(static_cast<std::uint64_t>(t) * n + e.u);
-      x_present.insert(static_cast<std::uint64_t>(t) * n + e.v);
+      slots_[t * n + e.u].present = epoch_;
+      slots_[t * n + e.v].present = epoch_;
+    }
+  }
+
+  // Intermediate X edges (first/last-layer matched edges belong to L but
+  // are removed in L').
+  xedges_.clear();
+  for (std::size_t t = 1; t + 1 < layers; ++t) {
+    const int a = tau.tau_a[t];
+    if (a <= 0) continue;
+    for (const Edge& e : edges.matched[static_cast<std::size_t>(a)]) {
+      xedges_.push_back({t, t, e.u, e.v, e.w});
     }
   }
 
   auto present = [&](std::size_t t, Vertex v) -> bool {
-    if (x_present.count(static_cast<std::uint64_t>(t) * n + v)) return true;
+    if (slots_[t * n + v].present == epoch_) return true;
     if (t == 0) {
       return par[v] == 1 && !m.is_matched(v) && tau.tau_a[0] == 0;
     }
@@ -124,100 +132,94 @@ LayeredGraph build_layered_graph(const BucketedEdges& edges,
     return false;  // intermediate layers require a kept matched edge
   };
 
-  struct RawEdge {
-    std::size_t tu, tv;
-    Vertex u, v;
-    Weight w;
-    bool between;
-  };
-  std::vector<RawEdge> raw;
-
-  // Intermediate X edges (first/last-layer matched edges belong to L but
-  // are removed in L').
-  for (std::size_t t = 1; t + 1 < layers; ++t) {
-    int a = tau.tau_a[t];
-    if (a <= 0) continue;
-    for (const Edge& e : edges.matched[static_cast<std::size_t>(a)]) {
-      raw.push_back({t, t, e.u, e.v, e.w, false});
-    }
-  }
-
   // Y edges between consecutive layers (u in R at t, v in L at t+1). The
-  // gaps are independent and read-only over x_present/m/par, so they are
-  // filtered on the thread pool; per-gap results are concatenated in gap
-  // order, which keeps the construction schedule-independent. Small builds
-  // run inline — the output never depends on the pool, only the wall
-  // clock does.
+  // gaps are independent and read-only over the presence slots, m and
+  // par, so large builds filter them on the thread pool; per-gap results
+  // are concatenated in gap order, which keeps the construction
+  // schedule-independent. Small builds run inline — the output never
+  // depends on the pool, only the wall clock does.
+  auto filter_gaps = [&](std::size_t lo, std::size_t hi,
+                         std::vector<RawEdge>& part) {
+    for (std::size_t t = lo; t < hi; ++t) {
+      const int b = tau.tau_b[t];
+      for (const Edge& e : edges.unmatched[static_cast<std::size_t>(b)]) {
+        if (!present(t, e.u) || !present(t + 1, e.v)) continue;
+        part.push_back({t, t + 1, e.u, e.v, e.w});
+      }
+    }
+  };
   std::size_t gap_work = 0;
   for (int b : tau.tau_b) {
     gap_work += edges.unmatched[static_cast<std::size_t>(b)].size();
   }
-  runtime::ThreadPool& pool = runtime::pool_for(
-      gap_work >= 4096 ? rt : runtime::RuntimeConfig{1});
-  std::vector<RawEdge> yedges = runtime::parallel_reduce(
-      pool, k, 1, std::vector<RawEdge>{},
-      [&](std::size_t lo, std::size_t hi) {
-        std::vector<RawEdge> part;
-        for (std::size_t t = lo; t < hi; ++t) {
-          int b = tau.tau_b[t];
-          for (const Edge& e : edges.unmatched[static_cast<std::size_t>(b)]) {
-            if (!present(t, e.u) || !present(t + 1, e.v)) continue;
-            part.push_back({t, t + 1, e.u, e.v, e.w, true});
-          }
-        }
-        return part;
-      },
-      [](std::vector<RawEdge> acc, std::vector<RawEdge> part) {
-        if (acc.empty()) return part;  // move, don't copy (single chunk)
-        acc.insert(acc.end(), part.begin(), part.end());
-        return acc;
-      });
-  const std::size_t between = yedges.size();
-  // raw (intermediate X edges) and yedges stay separate vectors — the Y
-  // set dominates and appending it to raw would copy it once more per
-  // tau-pair build.
-  auto for_each_raw = [&](auto&& f) {
-    for (const RawEdge& e : raw) f(e);
-    for (const RawEdge& e : yedges) f(e);
-  };
-
-  out.num_between_edges = between;
-  if (between == 0) {
-    out.num_between_edges = 0;
-    return out;
+  yedges_.clear();
+  if (gap_work >= 4096) {
+    yedges_ = runtime::parallel_reduce(
+        runtime::pool_for(rt), k, 1, std::vector<RawEdge>{},
+        [&](std::size_t lo, std::size_t hi) {
+          std::vector<RawEdge> part;
+          filter_gaps(lo, hi, part);
+          return part;
+        },
+        [](std::vector<RawEdge> acc, std::vector<RawEdge> part) {
+          if (acc.empty()) return part;  // move, don't copy (single chunk)
+          acc.insert(acc.end(), part.begin(), part.end());
+          return acc;
+        });
+  } else {
+    filter_gaps(0, k, yedges_);
   }
+  if (yedges_.empty()) return std::nullopt;
 
-  // Compress the (layer, vertex) pairs that occur on at least one edge.
-  std::unordered_map<std::uint64_t, std::uint32_t> id;
-  id.reserve((raw.size() + yedges.size()) * 2);
-  auto intern = [&](std::size_t t, Vertex v) -> std::uint32_t {
-    auto [it, inserted] = id.try_emplace(
-        static_cast<std::uint64_t>(t) * n + v,
-        static_cast<std::uint32_t>(out.original.size()));
-    if (inserted) {
-      out.original.push_back(v);
-      out.layer_of.push_back(static_cast<std::uint16_t>(t + 1));
-      out.side.push_back(par[v]);
-    }
-    return it->second;
+  // Compress the (layer, vertex) pairs that occur on at least one edge, in
+  // first-seen order over the X edges, then the Y edges.
+  LayeredGraph out;
+  out.layers = layers;
+  out.num_between_edges = yedges_.size();
+  auto intern = [&](std::size_t t, Vertex v) {
+    Slot& slot = slots_[t * n + v];
+    if (slot.interned == epoch_) return;
+    slot.interned = epoch_;
+    slot.id = static_cast<std::uint32_t>(out.original.size());
+    out.original.push_back(v);
+    out.layer_of.push_back(static_cast<std::uint16_t>(t + 1));
+    out.side.push_back(par[v]);
   };
-  for_each_raw([&](const RawEdge& e) {
-    intern(e.tu, e.u);
-    intern(e.tv, e.v);
-  });
+  for (const std::vector<RawEdge>* part : {&xedges_, &yedges_}) {
+    for (const RawEdge& e : *part) {
+      intern(e.tu, e.u);
+      intern(e.tv, e.v);
+    }
+  }
 
   Graph lp(out.original.size());
   Matching ml(out.original.size());
-  for_each_raw([&](const RawEdge& e) {
-    std::uint32_t cu = id[static_cast<std::uint64_t>(e.tu) * n + e.u];
-    std::uint32_t cv = id[static_cast<std::uint64_t>(e.tv) * n + e.v];
-    lp.add_edge(cu, cv, e.w);
-    if (!e.between) ml.add(cu, cv, e.w);
-  });
+  for (const std::vector<RawEdge>* part : {&xedges_, &yedges_}) {
+    const bool between = part == &yedges_;
+    for (const RawEdge& e : *part) {
+      const std::uint32_t cu = slots_[e.tu * n + e.u].id;
+      const std::uint32_t cv = slots_[e.tv * n + e.v].id;
+      lp.add_edge(cu, cv, e.w);
+      if (!between) ml.add(cu, cv, e.w);
+    }
+  }
   // Freeze the compressed subgraph eagerly: the black box reads it from
   // parallel BFS/DFS chunks, which must never see a lazily-built index.
   out.lprime = GraphView(std::move(lp));
   out.ml = std::move(ml);
+  return out;
+}
+
+LayeredGraph build_layered_graph(const BucketedEdges& edges,
+                                 const Matching& m, const Parametrization& par,
+                                 const TauPair& tau, std::size_t n,
+                                 const runtime::RuntimeConfig& rt) {
+  if (std::optional<LayeredGraph> lg =
+          LayeredGraphBuilder().build(edges, m, par, tau, n, rt)) {
+    return std::move(*lg);
+  }
+  LayeredGraph out;
+  out.layers = tau.num_layers();
   return out;
 }
 

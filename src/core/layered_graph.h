@@ -21,6 +21,7 @@
 // working graph of Algorithm 4 (first/last-layer matched edges removed).
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "core/tau.h"
@@ -74,10 +75,47 @@ struct BucketedEdges {
 
 BucketedEdges bucket_edges(const CrossingEdges& edges, Weight unit, int umax);
 
-/// Builds the layered graph L' for one good pair over pre-bucketed edges.
-/// The per-gap candidate filtering (the dominant cost) runs on the runtime
-/// thread pool selected by `rt`; the output is identical for any thread
-/// count.
+/// Builds the layered graphs of many tau pairs, reusing its scratch from
+/// build to build: presence and compressed-id slots indexed by t*n + v,
+/// allocated by the first build that gets past the bucket-occupancy
+/// reject, grown to the deepest pair seen, and reset between builds by
+/// bumping an epoch stamp rather than by clearing. A class keeps one
+/// builder for all its (parametrization, pair) builds, so its ~480 builds
+/// share one O(max_layers * n) block. One build runs at a time per
+/// builder (a build's gap filtering may read the scratch from several pool
+/// threads); builders of different classes are independent.
+class LayeredGraphBuilder {
+ public:
+  /// The layered graph L' for one good pair over pre-bucketed edges, or
+  /// nullopt when it has no between-layer edge (the pair is useless). The
+  /// per-gap candidate filtering runs on the runtime thread pool selected
+  /// by `rt` when the gaps hold enough edges; the output is identical for
+  /// any thread count and any earlier use of the builder.
+  std::optional<LayeredGraph> build(const BucketedEdges& edges,
+                                    const Matching& m,
+                                    const Parametrization& par,
+                                    const TauPair& tau, std::size_t n,
+                                    const runtime::RuntimeConfig& rt = {});
+
+ private:
+  struct Slot {
+    std::uint32_t present = 0;   ///< == epoch_: vertex has a kept X edge
+    std::uint32_t interned = 0;  ///< == epoch_: `id` is this build's
+    std::uint32_t id = 0;        ///< compressed id
+  };
+  struct RawEdge {
+    std::size_t tu, tv;
+    Vertex u, v;
+    Weight w;
+  };
+
+  std::vector<Slot> slots_;
+  std::uint32_t epoch_ = 0;
+  std::vector<RawEdge> xedges_, yedges_;
+};
+
+/// One-shot form of LayeredGraphBuilder::build: a useless pair comes back
+/// with `layers` set and everything else empty.
 LayeredGraph build_layered_graph(const BucketedEdges& edges,
                                  const Matching& m, const Parametrization& par,
                                  const TauPair& tau, std::size_t n,

@@ -48,6 +48,11 @@ SingleClassResult find_class_augmentations(const GraphView& g,
   // single_class.h.)
   std::vector<Augmentation> candidates;
 
+  // Host-side layered-build scratch, shared by every build of this class
+  // and freed with it; not model memory, so the meter does not see it
+  // (DESIGN.md §10).
+  LayeredGraphBuilder builder;
+
   const std::size_t reps = std::max<std::size_t>(1, opts.parametrizations);
   for (std::size_t rep = 0; rep < reps; ++rep) {
   Parametrization par = random_parametrization(g.num_vertices(), rng);
@@ -66,9 +71,10 @@ SingleClassResult find_class_augmentations(const GraphView& g,
       buckets.matched_values(), buckets.unmatched_values(), tau_cfg, rng);
 
   for (const TauPair& pair : pairs) {
-    LayeredGraph lg = build_layered_graph(buckets, m, par, pair,
-                                          g.num_vertices(), opts.runtime);
-    if (lg.num_between_edges == 0) continue;
+    std::optional<LayeredGraph> built = builder.build(
+        buckets, m, par, pair, g.num_vertices(), opts.runtime);
+    if (!built) continue;
+    const LayeredGraph& lg = *built;
     ++result.layered_graphs;
 
     // One layered subgraph lives at a time: the compressed vertex maps

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "util/require.h"
 
@@ -19,24 +18,36 @@ Weight quantum(Weight w_class, const TauConfig& cfg) {
                                         static_cast<double>(w_class))));
 }
 
-bool is_good_pair(const TauPair& pair, const TauConfig& cfg) {
+namespace {
+
+/// Table 1 conditions (A)-(F) with the unit budget umax = max_units(cfg)
+/// passed in, so a candidate loop computes it once.
+bool good_pair(const TauPair& pair, std::size_t max_layers, int umax) {
   const std::size_t layers = pair.tau_a.size();
-  if (layers < 2 || layers > cfg.max_layers) return false;          // (A)
-  if (pair.tau_b.size() + 1 != layers) return false;                // (B)
-  for (int a : pair.tau_a) {
-    if (a < 0) return false;                                        // (C)
-  }
-  for (std::size_t t = 1; t + 1 < layers; ++t) {
-    if (pair.tau_a[t] < 1) return false;                            // (D)
+  // (A) depth, (B) arity.
+  if (layers < 2 || layers > max_layers) return false;
+  if (pair.tau_b.size() + 1 != layers) return false;
+  // (C) a_t >= 0, (D) interior a_t >= 1 and every b_t >= 1.
+  int sum_a = 0;
+  for (std::size_t t = 0; t < layers; ++t) {
+    const int a = pair.tau_a[t];
+    if (a < 0) return false;
+    if (a < 1 && t != 0 && t + 1 != layers) return false;
+    sum_a += a;
   }
   int sum_b = 0;
   for (int b : pair.tau_b) {
-    if (b < 1) return false;                                        // (D)
+    if (b < 1) return false;
     sum_b += b;
   }
-  if (sum_b > max_units(cfg)) return false;                         // (E)
-  int sum_a = std::accumulate(pair.tau_a.begin(), pair.tau_a.end(), 0);
-  return sum_b - sum_a >= 1;                                        // (F)
+  // (E) unit budget, (F) gain of at least one unit.
+  return sum_b <= umax && sum_b - sum_a >= 1;
+}
+
+}  // namespace
+
+bool is_good_pair(const TauPair& pair, const TauConfig& cfg) {
+  return good_pair(pair, cfg.max_layers, max_units(cfg));
 }
 
 TauPair induced_pair(const std::vector<Weight>& a_w,
@@ -59,47 +70,99 @@ TauPair induced_pair(const std::vector<Weight>& a_w,
 
 namespace {
 
-std::vector<int> with_zero(const std::vector<int>& vals) {
-  std::vector<int> out{0};
-  out.insert(out.end(), vals.begin(), vals.end());
+/// Sorted, deduplicated members of `vals` in [1, umax].
+std::vector<int> unit_values(const std::vector<int>& vals, int umax) {
+  std::vector<int> out;
+  for (int v : vals) {
+    if (v >= 1 && v <= umax) out.push_back(v);
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
-}  // namespace
+/// The output of pairs_for_values, deduplicated on insert. `emitted`
+/// counts every good candidate, duplicates included: that raw count is
+/// what the max_pairs cap and the sampling budgets are measured in, so
+/// the draw sequence does not depend on which candidates repeat.
+/// Membership is a flat open-addressing table of indices into `pairs`
+/// (slot value index + 1, 0 = empty, load factor <= 1/2).
+class PairEmitter {
+ public:
+  PairEmitter(const TauConfig& cfg, int umax)
+      : max_layers_(cfg.max_layers), max_pairs_(cfg.max_pairs), umax_(umax),
+        slots_(256, 0) {}
 
-std::vector<TauPair> pairs_for_values(const std::vector<int>& a_vals_in,
-                                      const std::vector<int>& b_vals_in,
-                                      const TauConfig& cfg, Rng& rng) {
-  const int umax = max_units(cfg);
-  std::vector<int> a_vals, b_vals;
-  for (int a : a_vals_in) {
-    if (a >= 1 && a <= umax) a_vals.push_back(a);
+  bool full() const { return emitted_ >= max_pairs_; }
+  std::size_t emitted() const { return emitted_; }
+
+  /// Counts and keeps `cand` if it is good; a repeat is counted but not
+  /// kept.
+  void offer(const TauPair& cand) {
+    if (!good_pair(cand, max_layers_, umax_)) return;
+    ++emitted_;
+    if (2 * (pairs_.size() + 1) > slots_.size()) grow();
+    std::uint32_t* slot = find(cand);
+    if (*slot != 0) return;
+    pairs_.push_back(cand);
+    *slot = static_cast<std::uint32_t>(pairs_.size());
   }
-  for (int b : b_vals_in) {
-    if (b >= 1 && b <= umax) b_vals.push_back(b);
+
+  std::vector<TauPair> take() && { return std::move(pairs_); }
+
+ private:
+  static std::uint64_t hash(const TauPair& p) {
+    constexpr std::uint64_t kPrime = 0x100000001b3ULL;  // FNV-1a
+    std::uint64_t h = p.tau_a.size();
+    for (int a : p.tau_a) h = (h ^ static_cast<std::uint32_t>(a)) * kPrime;
+    for (int b : p.tau_b) h = (h ^ static_cast<std::uint32_t>(b)) * kPrime;
+    return h ^ (h >> 29);
   }
-  std::sort(a_vals.begin(), a_vals.end());
-  a_vals.erase(std::unique(a_vals.begin(), a_vals.end()), a_vals.end());
-  std::sort(b_vals.begin(), b_vals.end());
-  b_vals.erase(std::unique(b_vals.begin(), b_vals.end()), b_vals.end());
 
-  std::vector<TauPair> out;
-  if (b_vals.empty()) return out;
-  const std::vector<int> a_ends = with_zero(a_vals);  // endpoint choices
+  /// The slot holding `p`, or the empty slot where it belongs.
+  std::uint32_t* find(const TauPair& p) {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = hash(p) & mask;; i = (i + 1) & mask) {
+      const std::uint32_t s = slots_[i];
+      if (s == 0 || pairs_[s - 1] == p) return &slots_[i];
+    }
+  }
 
-  auto push_if_good = [&](TauPair pair) {
-    if (out.size() >= cfg.max_pairs) return false;
-    if (is_good_pair(pair, cfg)) out.push_back(std::move(pair));
-    return out.size() < cfg.max_pairs;
-  };
+  void grow() {
+    slots_.assign(2 * slots_.size(), 0);
+    for (std::size_t i = 0; i < pairs_.size(); ++i) {
+      *find(pairs_[i]) = static_cast<std::uint32_t>(i + 1);
+    }
+  }
+
+  std::size_t max_layers_, max_pairs_;
+  int umax_;
+  std::size_t emitted_ = 0;
+  std::vector<TauPair> pairs_;
+  std::vector<std::uint32_t> slots_;
+};
+
+/// Priorities 1-3 of pairs_for_values: the deterministic profiles, each
+/// filled into one scratch pair. Stops as soon as the cap is reached.
+void emit_profiles(const std::vector<int>& a_vals,
+                   const std::vector<int>& a_ends,
+                   const std::vector<int>& b_vals, const TauConfig& cfg,
+                   int umax, PairEmitter& out) {
+  TauPair cand;
 
   // --- Priority 1: all 2-layer profiles (k = 1). ---
   if (cfg.max_layers >= 2) {
+    cand.tau_a.assign(2, 0);
+    cand.tau_b.assign(1, 0);
     for (int b1 : b_vals) {
       for (int a1 : a_ends) {
         for (int a2 : a_ends) {
           if (a1 + a2 >= b1) continue;
-          if (!push_if_good({{a1, a2}, {b1}})) return out;
+          if (out.full()) return;
+          cand.tau_a[0] = a1;
+          cand.tau_a[1] = a2;
+          cand.tau_b[0] = b1;
+          out.offer(cand);
         }
       }
     }
@@ -108,83 +171,101 @@ std::vector<TauPair> pairs_for_values(const std::vector<int>& a_vals_in,
   // --- Priority 2: 3-layer profiles with free endpoints (the classic
   // weighted 3-augmentation with unmatched wings). ---
   if (cfg.max_layers >= 3) {
+    cand.tau_a.assign(3, 0);
+    cand.tau_b.assign(2, 0);
     for (int a2 : a_vals) {
       for (int b1 : b_vals) {
         for (int b2 : b_vals) {
           if (b1 + b2 <= a2) continue;
-          if (!push_if_good({{0, a2, 0}, {b1, b2}})) return out;
+          if (out.full()) return;
+          cand.tau_a[1] = a2;
+          cand.tau_b[0] = b1;
+          cand.tau_b[1] = b2;
+          out.offer(cand);
         }
       }
     }
   }
 
   // --- Priority 3: uniform deep profiles (repeated-cycle walks and long
-  // uniform paths; endpoints either free or matching the interior). ---
+  // uniform paths; endpoints either free or matching the interior). The
+  // free-end 3-layer profile repeats one of priority 2; the emitter
+  // counts it and keeps the first. ---
   for (std::size_t layers = 3; layers <= cfg.max_layers; ++layers) {
     const int k = static_cast<int>(layers) - 1;
     for (int a : a_vals) {
       for (int b : b_vals) {
         if (k * b > umax) continue;
-        TauPair interior;
-        interior.tau_a.assign(layers, a);
-        interior.tau_b.assign(static_cast<std::size_t>(k), b);
-        if (!push_if_good(interior)) return out;
-        TauPair free_ends = interior;
-        free_ends.tau_a.front() = 0;
-        free_ends.tau_a.back() = 0;
-        if (!push_if_good(std::move(free_ends))) return out;
+        if (out.full()) return;
+        cand.tau_a.assign(layers, a);
+        cand.tau_b.assign(static_cast<std::size_t>(k), b);
+        out.offer(cand);
+        if (out.full()) return;
+        cand.tau_a.front() = 0;
+        cand.tau_a.back() = 0;
+        out.offer(cand);
       }
     }
   }
+}
+
+}  // namespace
+
+std::vector<TauPair> pairs_for_values(const std::vector<int>& a_vals_in,
+                                      const std::vector<int>& b_vals_in,
+                                      const TauConfig& cfg, Rng& rng) {
+  const int umax = max_units(cfg);
+  const std::vector<int> a_vals = unit_values(a_vals_in, umax);
+  const std::vector<int> b_vals = unit_values(b_vals_in, umax);
+  if (b_vals.empty()) return {};
+  std::vector<int> a_ends{0};  // endpoint choices
+  a_ends.insert(a_ends.end(), a_vals.begin(), a_vals.end());
+
+  PairEmitter out(cfg, umax);
+  emit_profiles(a_vals, a_ends, b_vals, cfg, umax, out);
+  if (out.full() || a_vals.empty()) return std::move(out).take();
+  // From here on emitted() < max_pairs, so the budgets cannot underflow.
+
+  const BoundedSampler pick_end(a_ends.size());
+  const BoundedSampler pick_a(a_vals.size());
+  const BoundedSampler pick_b(b_vals.size());
+  TauPair cand;
 
   // --- Priority 4: random samples of the general 3-layer space. ---
-  auto sample = [&](const std::vector<int>& vals) {
-    return vals[rng.next_below(vals.size())];
-  };
-  if (cfg.max_layers >= 3 && !a_vals.empty()) {
-    std::size_t budget =
-        cfg.max_pairs > out.size() ? (cfg.max_pairs - out.size()) / 2 : 0;
+  if (cfg.max_layers >= 3) {
+    const std::size_t budget = (cfg.max_pairs - out.emitted()) / 2;
+    cand.tau_a.assign(3, 0);
+    cand.tau_b.assign(2, 0);
     for (std::size_t trial = 0; trial < 6 * budget; ++trial) {
-      TauPair pair{{sample(a_ends), sample(a_vals), sample(a_ends)},
-                   {sample(b_vals), sample(b_vals)}};
-      if (is_good_pair(pair, cfg)) {
-        out.push_back(std::move(pair));
-        if (out.size() >= cfg.max_pairs) break;
-      }
+      cand.tau_a[0] = a_ends[pick_end(rng)];
+      cand.tau_a[1] = a_vals[pick_a(rng)];
+      cand.tau_a[2] = a_ends[pick_end(rng)];
+      cand.tau_b[0] = b_vals[pick_b(rng)];
+      cand.tau_b[1] = b_vals[pick_b(rng)];
+      out.offer(cand);
+      if (out.full()) break;
     }
   }
 
   // --- Priority 5: random non-uniform deep profiles. ---
-  if (cfg.max_layers >= 4 && !a_vals.empty()) {
-    std::size_t budget =
-        cfg.max_pairs > out.size() ? cfg.max_pairs - out.size() : 0;
+  if (cfg.max_layers >= 4) {
+    const std::size_t budget = cfg.max_pairs - out.emitted();
+    const BoundedSampler pick_depth(cfg.max_layers - 3);
     for (std::size_t trial = 0; trial < 6 * budget; ++trial) {
-      std::size_t layers = 4 + rng.next_below(cfg.max_layers - 3);
-      TauPair pair;
-      pair.tau_a.resize(layers);
-      pair.tau_b.resize(layers - 1);
-      pair.tau_a.front() = sample(a_ends);
-      pair.tau_a.back() = sample(a_ends);
+      const std::size_t layers = 4 + pick_depth(rng);
+      cand.tau_a.resize(layers);
+      cand.tau_b.resize(layers - 1);
+      cand.tau_a.front() = a_ends[pick_end(rng)];
+      cand.tau_a.back() = a_ends[pick_end(rng)];
       for (std::size_t t = 1; t + 1 < layers; ++t) {
-        pair.tau_a[t] = sample(a_vals);
+        cand.tau_a[t] = a_vals[pick_a(rng)];
       }
-      for (auto& b : pair.tau_b) b = sample(b_vals);
-      if (is_good_pair(pair, cfg)) {
-        out.push_back(std::move(pair));
-        if (out.size() >= cfg.max_pairs) break;
-      }
+      for (int& b : cand.tau_b) b = b_vals[pick_b(rng)];
+      out.offer(cand);
+      if (out.full()) break;
     }
   }
-
-  // De-duplicate, preserving priority order.
-  std::vector<TauPair> dedup;
-  dedup.reserve(out.size());
-  for (auto& p : out) {
-    if (std::find(dedup.begin(), dedup.end(), p) == dedup.end()) {
-      dedup.push_back(std::move(p));
-    }
-  }
-  return dedup;
+  return std::move(out).take();
 }
 
 std::vector<TauPair> generate_good_pairs(const TauConfig& cfg, Rng& rng) {

@@ -38,7 +38,9 @@ struct TauConfig {
   std::size_t max_layers = 6;
   /// Upper bound on sum(b) in units relative to W: sum(b)*U <= (1+slack)*W.
   double slack = 1.0;
-  /// Cap on the number of generated pairs (exhaustive part first).
+  /// Cap on the good pairs emitted (exhaustive part first), counted
+  /// before deduplication: a repeated profile uses up budget, so the
+  /// returned (deduplicated) list can be shorter than the cap.
   std::size_t max_pairs = 4000;
 };
 
@@ -60,7 +62,10 @@ std::vector<TauPair> generate_good_pairs(const TauConfig& cfg, Rng& rng);
 /// rounded-down unmatched-edge units. Emits, in priority order: all
 /// 2-layer profiles, all 3-layer profiles with free endpoints, uniform
 /// deep profiles, then random samples of the remaining 3-layer and deep
-/// non-uniform spaces up to cfg.max_pairs.
+/// non-uniform spaces. Generation stops once cfg.max_pairs good pairs have
+/// been emitted, duplicates included; the sampling budgets are measured in
+/// the same raw count. The returned list is deduplicated on every exit
+/// path (first occurrence kept, priority order preserved).
 std::vector<TauPair> pairs_for_values(const std::vector<int>& a_vals,
                                       const std::vector<int>& b_vals,
                                       const TauConfig& cfg, Rng& rng);

@@ -14,27 +14,11 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = splitmix64(sm);
-}
-
-std::uint64_t Rng::next() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 std::uint64_t Rng::next_below(std::uint64_t bound) {
@@ -45,6 +29,15 @@ std::uint64_t Rng::next_below(std::uint64_t bound) {
     std::uint64_t r = next();
     if (r >= threshold) return r % bound;
   }
+}
+
+BoundedSampler::BoundedSampler(std::uint64_t bound)
+    : bound_(bound), threshold_(0), magic_(0) {
+  WMATCH_REQUIRE(bound > 0, "BoundedSampler requires positive bound");
+  threshold_ = (~bound + 1) % bound;  // same threshold as next_below
+  // ceil(2^128 / bound); wraps to 0 for bound == 1, where every
+  // remainder is 0 anyway.
+  magic_ = ~U128{0} / bound + 1;
 }
 
 std::int64_t Rng::next_int(std::int64_t lo, std::int64_t hi) {

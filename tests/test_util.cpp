@@ -91,6 +91,30 @@ TEST(Rng, SplitProducesIndependentStream) {
   EXPECT_NE(child.next(), c.next());
 }
 
+// Same values and same generator state afterwards as next_below, over
+// small bounds, every power of two, and bounds just past 2^32 and just
+// below 2^64 (where the rejection threshold is non-trivial).
+TEST(Rng, BoundedSamplerMatchesNextBelow) {
+  std::vector<std::uint64_t> bounds;
+  for (std::uint64_t b = 1; b <= 200; ++b) bounds.push_back(b);
+  for (int e = 0; e < 64; ++e) bounds.push_back(std::uint64_t{1} << e);
+  bounds.push_back((std::uint64_t{1} << 33) + 5);
+  bounds.push_back(~std::uint64_t{0} - 3);  // 2^64 - 4
+  for (std::uint64_t bound : bounds) {
+    const BoundedSampler sample(bound);
+    Rng fast(bound), slow(bound);
+    for (int i = 0; i < 200000; ++i) {
+      const std::uint64_t want = slow.next_below(bound);
+      const std::uint64_t got = sample(fast);
+      if (got != want) {
+        FAIL() << "bound " << bound << " draw " << i << ": " << got
+               << " != " << want;
+      }
+    }
+    ASSERT_EQ(fast.next(), slow.next()) << "bound " << bound;
+  }
+}
+
 TEST(Stats, AccumulatorMeanAndVariance) {
   Accumulator acc;
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) acc.add(x);
