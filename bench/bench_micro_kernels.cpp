@@ -8,12 +8,10 @@
 //     (their checksums equal the reference implementations', asserted by
 //     tests/test_tau.cpp and tests/test_layered_graph.cpp), and for the
 //     layout primitives the immutable data plane introduced —
-//       csr-neighbor-scan   vs  legacy-adjacency-scan
-//         (frozen CSR slot arrays vs the old lazy path's rebuild +
-//          edge-table indirection, same traversal, same checksum)
-//       hk-bfs-bitset       vs  hk-bfs-scalar
-//         (word-parallel 64-vertices-per-word frontier vs the
-//          one-vertex-at-a-time reference; identical dist labels)
+//       csr-neighbor-scan   (frozen CSR slot arrays, one full traversal)
+//       hk-bfs-bitset       (the word-parallel HK layering pass; its
+//          dist labels are checked against a serial BFS by
+//          tests/test_graph_view.cpp)
 //       arena-fork-scratch  vs  heap-fork-scratch
 //         (per-class fork scratch from a reset Arena vs fresh heap
 //          vectors every fork)
@@ -104,36 +102,7 @@ std::uint64_t csr_neighbor_scan(const GraphView& g) {
   return sum;
 }
 
-/// The old Graph path, replayed: rebuild the offsets/edge-id CSR from the
-/// edge list (what the lazy build did on every first touch), then scan
-/// through the edge-table indirection (edge(ei).other(v) / .w) instead of
-/// the slot-parallel neighbor/weight arrays.
-std::uint64_t legacy_adjacency_scan(std::size_t n, std::span<const Edge> edges,
-                                    std::vector<std::uint32_t>& offsets,
-                                    std::vector<std::uint32_t>& edge_ids) {
-  offsets.assign(n + 1, 0);
-  for (const Edge& e : edges) {
-    ++offsets[e.u + 1];
-    ++offsets[e.v + 1];
-  }
-  for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
-  edge_ids.assign(2 * edges.size(), 0);
-  std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (std::uint32_t i = 0; i < edges.size(); ++i) {
-    edge_ids[cursor[edges[i].u]++] = i;
-    edge_ids[cursor[edges[i].v]++] = i;
-  }
-  std::uint64_t sum = 0;
-  for (Vertex v = 0; v < n; ++v) {
-    for (std::uint32_t s = offsets[v]; s < offsets[v + 1]; ++s) {
-      const Edge& e = edges[edge_ids[s]];
-      sum += e.other(v) + static_cast<std::uint64_t>(e.w);
-    }
-  }
-  return sum;
-}
-
-// ---- HK BFS layering: bitset vs scalar frontier ----
+// ---- HK BFS layering ----
 
 struct BfsProblem {
   GraphView g;
@@ -164,10 +133,9 @@ BfsProblem make_bfs_problem(std::size_t half, std::size_t m,
   return p;
 }
 
-std::uint64_t bfs_checksum(BfsProblem& p, runtime::ThreadPool& pool,
-                           exact::HkFrontier frontier) {
-  const bool reached = exact::hk_bfs_layering(p.g, p.match_edge, p.in_left,
-                                              p.dist, pool, frontier);
+std::uint64_t bfs_checksum(BfsProblem& p, runtime::ThreadPool& pool) {
+  const bool reached =
+      exact::hk_bfs_layering(p.g, p.match_edge, p.in_left, p.dist, pool);
   std::uint64_t sum = reached ? 1 : 0;
   for (std::uint32_t d : p.dist) sum += d == 0xffffffffu ? 1 : d;
   return sum;
@@ -230,14 +198,11 @@ int run_kernel_section(const bench::Args& args) {
   bench::header(
       "micro kernels / reduction hot path + data-plane layout",
       "Tau-pair enumeration and layered-graph builds over the ci "
-      "bipartite instance's classes; frozen-CSR scan vs the legacy lazy "
-      "rebuild + edge-table indirection; word-parallel bitset HK BFS vs "
-      "the scalar reference "
-      "(identical dist labels, asserted); arena-backed fork scratch vs "
-      "fresh heap vectors. Median of 9 reps, informational wall-ms.");
+      "bipartite instance's classes; a frozen-CSR scan; the word-parallel "
+      "HK BFS layering pass; arena-backed fork scratch vs fresh heap "
+      "vectors. Median of 9 reps, informational wall-ms.");
 
   const GraphView scan_view = freeze(make_weighted(4096, 32768, 1));
-  std::vector<std::uint32_t> offsets, edge_ids;
   BfsProblem bfs = make_bfs_problem(2048, 16384, 2);
   runtime::ThreadPool& pool =
       runtime::pool_for(runtime::RuntimeConfig{args.threads});
@@ -258,28 +223,10 @@ int run_kernel_section(const bench::Args& args) {
                                hot.g.num_vertices());
         });
   }));
-  const std::size_t scan_at = results.size();
   results.push_back(run_kernel("csr-neighbor-scan",
                                [&] { return csr_neighbor_scan(scan_view); }));
-  results.push_back(run_kernel("legacy-adjacency-scan", [&] {
-    return legacy_adjacency_scan(scan_view.num_vertices(), scan_view.edges(),
-                                 offsets, edge_ids);
-  }));
-  if (results[scan_at].checksum != results[scan_at + 1].checksum) {
-    std::cerr << "error: CSR and legacy scans disagree\n";
-    return 1;
-  }
-  const std::size_t bfs_at = results.size();
-  results.push_back(run_kernel("hk-bfs-bitset", [&] {
-    return bfs_checksum(bfs, pool, exact::HkFrontier::kBitset);
-  }));
-  results.push_back(run_kernel("hk-bfs-scalar", [&] {
-    return bfs_checksum(bfs, pool, exact::HkFrontier::kScalar);
-  }));
-  if (results[bfs_at].checksum != results[bfs_at + 1].checksum) {
-    std::cerr << "error: bitset and scalar BFS layerings disagree\n";
-    return 1;
-  }
+  results.push_back(
+      run_kernel("hk-bfs-bitset", [&] { return bfs_checksum(bfs, pool); }));
   results.push_back(
       run_kernel("arena-fork-scratch", [&] { return arena_fork_scratch(arena); }));
   results.push_back(run_kernel("heap-fork-scratch", heap_fork_scratch));
@@ -300,11 +247,8 @@ int run_kernel_section(const bench::Args& args) {
   }
   bench::footer(
       "tau-pairs and layered-build are the reduction's per-class "
-      "scaffolding (the black box is not in them); csr-neighbor-scan "
-      "beats legacy-adjacency-scan (no rebuild, no edge-table "
-      "indirection); the bitset BFS tracks the scalar one with "
-      "the same checksum; arena-fork-scratch amortizes away "
-      "heap-fork-scratch's per-fork allocations.");
+      "scaffolding (the black box is not in them); arena-fork-scratch "
+      "amortizes away heap-fork-scratch's per-fork allocations.");
   return 0;
 }
 

@@ -153,7 +153,7 @@ std::optional<LayeredGraph> LayeredGraphBuilder::build(
     gap_work += edges.unmatched[static_cast<std::size_t>(b)].size();
   }
   yedges_.clear();
-  if (gap_work >= 4096) {
+  if (gap_work >= runtime::kParallelWorkCutoff) {
     yedges_ = runtime::parallel_reduce(
         runtime::pool_for(rt), k, 1, std::vector<RawEdge>{},
         [&](std::size_t lo, std::size_t hi) {

@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "obs/obs.h"
-#include "runtime/parallel.h"
 #include "runtime/thread_pool.h"
 #include "streaming/memory_meter.h"
 #include "util/require.h"
@@ -66,7 +65,7 @@ Weight improve_matching_once(const GraphView& g, Matching& m,
   // per-slot Arena (reused round over round, reset by the caller at the
   // barrier) so the fork's solve-time scratch bumps a cursor instead of
   // hitting the heap — and arenas are never shared across classes, which
-  // is what keeps the not-thread-safe Arena sound under parallel_for.
+  // is what keeps the not-thread-safe Arena sound across class tasks.
   std::vector<std::unique_ptr<UnweightedMatcher>> subs(k);
   bool forked = true;
   for (std::size_t i = 0; i < k && forked; ++i) {
@@ -84,12 +83,12 @@ Weight improve_matching_once(const GraphView& g, Matching& m,
                                           class_matcher, class_rng);
   };
   if (forked) {
-    runtime::parallel_for(runtime::pool_for(cfg.runtime), k, 1,
-                          [&](std::size_t lo, std::size_t hi) {
-                            for (std::size_t i = lo; i < hi; ++i) {
-                              run_class(i, *subs[i]);
-                            }
-                          });
+    // One pool task per class: the classes are where the round's
+    // parallelism lives (the black-box solves inside them run below the
+    // runtime's work cutoff, sequentially), so chunking them would only
+    // pair classes up on one thread.
+    runtime::pool_for(cfg.runtime).run_batch(
+        k, [&](std::size_t i) { run_class(i, *subs[i]); });
     // Iteration barrier: fold the per-class sub-accounting back in ladder
     // order (sums / maxes — deterministic regardless of schedule).
     for (std::size_t i = 0; i < k; ++i) matcher.merge_class(*subs[i]);

@@ -178,8 +178,8 @@ ShortAugmentationsResult short_augmentations(const Matching& m,
   std::size_t comp_edges = 0;
   for (const Comp& c : comps2) comp_edges += c.edges.size();
   // Small witnesses are extracted inline (same result, less overhead).
-  runtime::ThreadPool& pool = runtime::pool_for(
-      comp_edges * max_len >= 4096 ? rt : runtime::RuntimeConfig{1});
+  runtime::ThreadPool& pool =
+      runtime::pool_for_work(rt, comp_edges * max_len);
   return runtime::parallel_reduce(
       pool, max_len, 1, ShortAugmentationsResult{},
       [&](std::size_t lo, std::size_t hi) {

@@ -1,6 +1,6 @@
 #include "exact/hopcroft_karp.h"
 
-#include <atomic>
+#include <algorithm>
 #include <limits>
 #include <queue>
 #include <utility>
@@ -22,7 +22,6 @@ constexpr std::uint32_t kNoEdge = std::numeric_limits<std::uint32_t>::max();
 /// result (see the determinism argument in hopcroft_karp below). The
 /// bitset frontier chunks over whole 64-vertex words, so its grain is in
 /// words, not vertices.
-constexpr std::size_t kBfsGrain = 64;
 constexpr std::size_t kBfsWordGrain = 2;
 constexpr std::size_t kDfsGrain = 4;
 
@@ -37,76 +36,32 @@ struct BfsPart {
   bool any_next = false;
 };
 
-/// Level-synchronous BFS with one-vertex-at-a-time frontier vectors; the
-/// claim on a right vertex is a CAS on dist[u]. Every contender for a
-/// right vertex writes the same level value, and a mate is reachable only
-/// through its unique matched partner, so the dist labels (and the
-/// reachable-free-right flag) are independent of chunking, schedule, and
-/// thread count — only the transient frontier *order* may differ, and
-/// nothing downstream reads it.
-bool bfs_scalar(const GraphView& g, std::span<const std::uint32_t> match_edge,
-                std::span<std::uint32_t> dist, runtime::ThreadPool& pool,
-                std::vector<Vertex> frontier) {
-  struct Layer {
-    std::vector<Vertex> next;
-    bool free_right = false;
-  };
-  bool reachable_free_right = false;
-  std::uint32_t level = 0;
-  while (!frontier.empty()) {
-    Layer layer = runtime::parallel_reduce(
-        pool, frontier.size(), kBfsGrain, Layer{},
-        [&](std::size_t lo, std::size_t hi) {
-          Layer local;
-          for (std::size_t i = lo; i < hi; ++i) {
-            const Vertex v = frontier[i];
-            for (std::uint32_t ei : g.incident(v)) {
-              if (ei == match_edge[v]) continue;  // leave on non-matching
-              const Vertex u = g.edge(ei).other(v);
-              std::uint32_t expected = kInf;
-              if (!std::atomic_ref<std::uint32_t>(dist[u])
-                       .compare_exchange_strong(expected, level + 1,
-                                                std::memory_order_relaxed)) {
-                continue;  // claimed (same value) by another chunk
-              }
-              const Vertex w = mate_of(g, match_edge, u);
-              if (w == kNoVertex) {
-                local.free_right = true;
-              } else {
-                // u was claimed uniquely, so its mate has one writer.
-                std::atomic_ref<std::uint32_t>(dist[w]).store(
-                    level + 2, std::memory_order_relaxed);
-                local.next.push_back(w);
-              }
-            }
-          }
-          return local;
-        },
-        [](Layer acc, Layer part) {
-          acc.next.insert(acc.next.end(), part.next.begin(), part.next.end());
-          acc.free_right |= part.free_right;
-          return acc;
-        });
-    reachable_free_right |= layer.free_right;
-    frontier = std::move(layer.next);
-    level += 2;
+/// Word-parallel level-synchronous BFS from the free left vertices. The
+/// frontier and the claimed set pack 64 vertices per word; `words` holds
+/// 3 * bitset_words(n) words (frontier, next, claimed). A right vertex is
+/// claimed by an atomic fetch_or on its claimed bit; the claim winner is
+/// the unique writer of dist[u] and of its mate's dist and frontier bit.
+/// Every contender for a right vertex would write the same level value,
+/// and a mate is reachable only through its unique matched partner, so
+/// the dist labels (and the reachable-free-right flag) are independent of
+/// chunking, schedule and thread count.
+bool bfs_layers(const GraphView& g, std::span<const std::uint32_t> match_edge,
+                std::span<const char> in_left, std::span<std::uint32_t> dist,
+                runtime::ThreadPool& pool, std::span<std::uint64_t> words) {
+  const std::size_t nwords = words.size() / 3;
+  std::span<std::uint64_t> cur = words.subspan(0, nwords);
+  std::span<std::uint64_t> next = words.subspan(nwords, nwords);
+  std::span<std::uint64_t> claimed = words.subspan(2 * nwords, nwords);
+  std::fill(words.begin(), words.end(), 0);
+  std::fill(dist.begin(), dist.end(), kInf);
+  bool any = false;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    if (in_left[v] && match_edge[v] == kNoEdge) {
+      dist[v] = 0;
+      util::bit_set(cur, v);
+      any = true;
+    }
   }
-  return reachable_free_right;
-}
-
-/// Word-parallel BFS: the frontier and the claimed set pack 64 vertices
-/// per word. A right vertex is claimed by an atomic fetch_or on its
-/// claimed bit; the claim winner is the unique writer of dist[u] and of
-/// its mate's dist and frontier bit, and within a word vertices expand in
-/// ascending index order, identically for every thread count. The dist
-/// labels are the same level values the scalar mode writes, so the two
-/// modes are bit-identical end to end.
-bool bfs_bitset(const GraphView& g, std::span<const std::uint32_t> match_edge,
-                std::span<std::uint32_t> dist, runtime::ThreadPool& pool,
-                std::span<std::uint64_t> cur, std::span<std::uint64_t> next,
-                std::span<std::uint64_t> claimed, bool any) {
-  std::fill(next.begin(), next.end(), 0);
-  std::fill(claimed.begin(), claimed.end(), 0);
   bool reachable_free_right = false;
   std::uint32_t level = 0;
   while (any) {
@@ -182,35 +137,11 @@ bool hk_bfs_layering(const GraphView& g,
                      std::span<const std::uint32_t> match_edge,
                      std::span<const char> in_left,
                      std::span<std::uint32_t> dist,
-                     runtime::ThreadPool& pool, HkFrontier frontier,
-                     runtime::Arena* scratch) {
-  const std::size_t n = g.num_vertices();
-  std::fill(dist.begin(), dist.end(), kInf);
-  if (frontier == HkFrontier::kScalar) {
-    std::vector<Vertex> roots;
-    for (Vertex v = 0; v < n; ++v) {
-      if (in_left[v] && match_edge[v] == kNoEdge) {
-        dist[v] = 0;
-        roots.push_back(v);
-      }
-    }
-    return bfs_scalar(g, match_edge, dist, pool, std::move(roots));
-  }
-  const std::size_t nwords = util::bitset_words(n);
+                     runtime::ThreadPool& pool, runtime::Arena* scratch) {
   runtime::ArenaVector<std::uint64_t> words(
-      nwords * 3, 0, runtime::ArenaAllocator<std::uint64_t>(scratch));
-  std::span<std::uint64_t> cur(words.data(), nwords);
-  std::span<std::uint64_t> next(words.data() + nwords, nwords);
-  std::span<std::uint64_t> claimed(words.data() + 2 * nwords, nwords);
-  bool any = false;
-  for (Vertex v = 0; v < n; ++v) {
-    if (in_left[v] && match_edge[v] == kNoEdge) {
-      dist[v] = 0;
-      util::bit_set(cur, v);
-      any = true;
-    }
-  }
-  return bfs_bitset(g, match_edge, dist, pool, cur, next, claimed, any);
+      3 * util::bitset_words(g.num_vertices()), 0,
+      runtime::ArenaAllocator<std::uint64_t>(scratch));
+  return bfs_layers(g, match_edge, in_left, dist, pool, words);
 }
 
 HopcroftKarpResult hopcroft_karp(const GraphView& g,
@@ -218,8 +149,7 @@ HopcroftKarpResult hopcroft_karp(const GraphView& g,
                                  std::size_t max_phases,
                                  const Matching* initial,
                                  const runtime::RuntimeConfig& rt,
-                                 runtime::Arena* scratch,
-                                 HkFrontier frontier) {
+                                 runtime::Arena* scratch) {
   const std::size_t n = g.num_vertices();
   WMATCH_REQUIRE(side.size() == n, "side vector size mismatch");
   for (const Edge& e : g.edges()) {
@@ -259,40 +189,18 @@ HopcroftKarpResult hopcroft_karp(const GraphView& g,
   runtime::ArenaVector<char> in_left(n, 0, alloc8);
   for (Vertex v = 0; v < n; ++v) in_left[v] = (side[v] == 0);
 
-  runtime::ThreadPool& pool = runtime::pool_for(rt);
+  // Small graphs (the reduction's layered graphs) solve sequentially: a
+  // nested batch per BFS level and DFS batch costs more than it saves,
+  // and its help-while-waiting would run sibling class tasks.
+  runtime::ThreadPool& pool = runtime::pool_for_work(rt, g.num_edges());
   runtime::ArenaVector<std::uint32_t> dist(n, 0, alloc32);
 
   // Bitset-frontier words, allocated once for the whole invocation and
   // re-zeroed per phase (3 * ceil(n/64) words: frontier, next, claimed).
-  const std::size_t nwords =
-      frontier == HkFrontier::kBitset ? util::bitset_words(n) : 0;
-  runtime::ArenaVector<std::uint64_t> words(nwords * 3, 0, alloc64);
-
+  runtime::ArenaVector<std::uint64_t> words(3 * util::bitset_words(n), 0,
+                                            alloc64);
   auto bfs = [&]() -> bool {
-    std::fill(dist.begin(), dist.end(), kInf);
-    if (frontier == HkFrontier::kScalar) {
-      std::vector<Vertex> roots;
-      for (Vertex v = 0; v < n; ++v) {
-        if (in_left[v] && match_edge[v] == kNoEdge) {
-          dist[v] = 0;
-          roots.push_back(v);
-        }
-      }
-      return bfs_scalar(g, match_edge, dist, pool, std::move(roots));
-    }
-    std::span<std::uint64_t> cur(words.data(), nwords);
-    std::span<std::uint64_t> next(words.data() + nwords, nwords);
-    std::span<std::uint64_t> claimed(words.data() + 2 * nwords, nwords);
-    std::fill(cur.begin(), cur.end(), 0);
-    bool any = false;
-    for (Vertex v = 0; v < n; ++v) {
-      if (in_left[v] && match_edge[v] == kNoEdge) {
-        dist[v] = 0;
-        util::bit_set(cur, v);
-        any = true;
-      }
-    }
-    return bfs_bitset(g, match_edge, dist, pool, cur, next, claimed, any);
+    return bfs_layers(g, match_edge, in_left, dist, pool, words);
   };
 
   // One DFS walk from `root` along the dist layering, shared by the

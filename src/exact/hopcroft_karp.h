@@ -29,25 +29,15 @@ struct HopcroftKarpResult {
   std::size_t phases = 0;  ///< phases actually executed
 };
 
-/// How the per-phase BFS tracks its frontier and claimed sets.
-///   kBitset — word-parallel: 64 vertices per uint64_t word, right
-///             vertices claimed with an atomic fetch_or, frontier chunked
-///             over whole words. The production mode.
-///   kScalar — one-vertex-at-a-time frontier vectors with a CAS on
-///             dist[] as the claim. Kept as the reference implementation
-///             for the bit-identity tests and bench_micro_kernels.
-/// Both modes produce identical dist labels (each claim contender writes
-/// the same level value), so the solve result never depends on the mode.
-enum class HkFrontier { kBitset, kScalar };
-
 /// `side[v]` is 0 (left) or 1 (right); every edge must cross sides.
 /// `max_phases == 0` means run to optimality.
 /// `initial`, when provided, seeds the matching (must be valid in g and
 /// respect the bipartition).
 /// `rt` selects the host threads for the per-phase BFS layer construction
-/// and the speculative DFS augmentation batch; the result (matching and
-/// phase count) is bit-identical for any thread count, frontier mode, and
-/// scratch arena.
+/// and the speculative DFS augmentation batch; a graph with fewer than
+/// runtime::kParallelWorkCutoff edges runs sequentially whatever `rt`
+/// says. The result (matching and phase count) is bit-identical for any
+/// thread count and scratch arena.
 /// `scratch`, when provided, backs the per-invocation O(n) scratch
 /// (dist/match/bitset words) — reclaimed wholesale by Arena::reset(), so
 /// repeated invocations from a forked class matcher stop hitting the
@@ -57,21 +47,22 @@ HopcroftKarpResult hopcroft_karp(const GraphView& g,
                                  std::size_t max_phases = 0,
                                  const Matching* initial = nullptr,
                                  const runtime::RuntimeConfig& rt = {},
-                                 runtime::Arena* scratch = nullptr,
-                                 HkFrontier frontier = HkFrontier::kBitset);
+                                 runtime::Arena* scratch = nullptr);
 
 /// One level-synchronous BFS layering pass over alternating paths from
 /// free left vertices: fills `dist` (kInf = unreached; free left roots 0,
 /// claimed right vertices odd levels, their mates even) and returns
 /// whether a free right vertex is reachable. `match_edge[v]` is the
-/// incident matched edge id or UINT32_MAX. Exposed so the bit-identity
-/// tests and bench_micro_kernels can run both frontier modes on one
-/// layering problem; hopcroft_karp() calls this once per phase.
+/// incident matched edge id or UINT32_MAX. The frontier is word-parallel
+/// (64 vertices per uint64_t, right vertices claimed with an atomic
+/// fetch_or) and the labels are the same for any pool. Exposed so the
+/// tests can check it against a plain serial BFS and bench_micro_kernels
+/// can time it; hopcroft_karp() runs the same pass once per phase.
 bool hk_bfs_layering(const GraphView& g,
                      std::span<const std::uint32_t> match_edge,
                      std::span<const char> in_left,
                      std::span<std::uint32_t> dist,
-                     runtime::ThreadPool& pool, HkFrontier frontier,
+                     runtime::ThreadPool& pool,
                      runtime::Arena* scratch = nullptr);
 
 /// Attempts a 2-coloring of g; returns empty vector if g is not bipartite.

@@ -21,7 +21,6 @@ MpcMatchingResult mpc_bipartite_matching(const GraphView& g,
   const std::size_t gamma = ctx.config().num_machines;
   const std::size_t sample_budget =
       std::max<std::size_t>(1, ctx.config().machine_memory_words / 2);
-  runtime::ThreadPool& pool = runtime::pool_for(ctx.config().runtime);
 
   // All machine-local randomness derives from one master draw, keyed by
   // (round, machine) — never from the caller's stream — so the result is a
@@ -46,17 +45,14 @@ MpcMatchingResult mpc_bipartite_matching(const GraphView& g,
   // --- Phase 1: maximal matching by filtering (LMSV11). Machines run
   // concurrently within each round; the coordinator (machine 0) steps
   // sequentially between the round barriers. ---
-  // Rounds over small active sets are cheaper inline; the result does not
-  // depend on which pool runs them, so the cutoff only affects wall clock.
-  constexpr std::size_t kInlineCutoff = 4096;
-  runtime::ThreadPool& seq_pool = runtime::pool_for(runtime::RuntimeConfig{1});
-
   Matching m(n);
   std::size_t active_total = g.num_edges();
   std::size_t filter_round = 0;
   while (active_total > 0) {
+    // Rounds over small active sets run inline; the result does not
+    // depend on which pool runs them, so the cutoff only moves wall clock.
     runtime::ThreadPool& round_pool =
-        active_total >= kInlineCutoff ? pool : seq_pool;
+        runtime::pool_for_work(ctx.config().runtime, active_total);
     // One round: every machine samples its shard and sends the sample to
     // the coordinator. (Scoped so the mpc.sample span closes before the
     // sibling mpc.filter span of the broadcast round opens.)

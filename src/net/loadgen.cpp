@@ -418,12 +418,9 @@ LoadgenResult run_loadgen(const LoadgenConfig& config, std::ostream& log) {
       if (n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK)) {
         conn.open = false;
       }
-      std::size_t pos;
-      while ((pos = conn.inbuf.find('\n')) != std::string::npos) {
-        const std::string line = conn.inbuf.substr(0, pos);
-        conn.inbuf.erase(0, pos + 1);
+      consume_lines(&conn.inbuf, [&](const std::string& line) {
         handle_response(line, recv_now);
-      }
+      });
     }
   }
 

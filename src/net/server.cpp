@@ -273,12 +273,8 @@ struct Server::Impl {
       conn.eof = true;  // dead peer == ordinary close
       conn.inbuf.clear();
     }
-    std::size_t pos;
-    while ((pos = conn.inbuf.find('\n')) != std::string::npos) {
-      const std::string line = conn.inbuf.substr(0, pos);
-      conn.inbuf.erase(0, pos + 1);
-      handle_line(conn, line);
-    }
+    consume_lines(&conn.inbuf,
+                  [&](const std::string& line) { handle_line(conn, line); });
     if (conn.eof && !conn.inbuf.empty()) {
       // Final unterminated line: a client that sends one job and shuts
       // down its write side without a trailing newline still gets served.

@@ -46,6 +46,21 @@ bool write_all(int fd, std::string_view data);
 /// EAGAIN on a non-blocking fd with nothing buffered).
 long read_some(int fd, std::string* out, std::size_t max_bytes = 65536);
 
+/// Calls on_line(line) for every complete '\n'-terminated line in *buf,
+/// in order and without the newline, then erases the consumed prefix once,
+/// so a read that delivered many pipelined lines costs O(bytes), not
+/// O(bytes x lines). An unterminated tail stays in *buf. on_line must not
+/// touch *buf.
+template <typename OnLine>
+void consume_lines(std::string* buf, OnLine&& on_line) {
+  std::size_t start = 0;
+  for (std::size_t pos; (pos = buf->find('\n', start)) != std::string::npos;
+       start = pos + 1) {
+    on_line(buf->substr(start, pos - start));
+  }
+  buf->erase(0, start);
+}
+
 /// Marks the fd non-blocking (the server's poll loop must never stall
 /// inside a read while other connections wait). Returns false on error.
 bool set_nonblocking(int fd);

@@ -209,4 +209,8 @@ ThreadPool& pool_for(const RuntimeConfig& config) {
   return *pool;
 }
 
+ThreadPool& pool_for_work(const RuntimeConfig& config, std::size_t work) {
+  return pool_for(work >= kParallelWorkCutoff ? config : RuntimeConfig{1});
+}
+
 }  // namespace wmatch::runtime

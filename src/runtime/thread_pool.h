@@ -76,4 +76,18 @@ class ThreadPool {
 /// spawn costs.
 ThreadPool& pool_for(const RuntimeConfig& config);
 
+/// Work (edges a region scans, or its equivalent) below which a nested
+/// parallel region runs sequentially. Regions nested inside a class task
+/// (Hopcroft–Karp layers, MPC filtering rounds, layered-graph gap
+/// filtering, short-augmentation trials) are tiny on the reduction's
+/// layered graphs; dispatching them would make the waiting thread help by
+/// running whatever is queued, sibling classes included, and stall the
+/// round behind them. Every such region's result is independent of the
+/// pool, so the cutoff moves wall clock only.
+inline constexpr std::size_t kParallelWorkCutoff = 4096;
+
+/// pool_for(config) for a region of `work` units, or the sequential pool
+/// when `work` is below kParallelWorkCutoff.
+ThreadPool& pool_for_work(const RuntimeConfig& config, std::size_t work);
+
 }  // namespace wmatch::runtime

@@ -214,26 +214,25 @@ TEST(SchedulerStress, ConcurrentAdjacencyFirstTouchOnSharedInstance) {
 
 TEST(GraphViewStress, ManyThreadsTraverseOneViewWithNoSynchronization) {
   // The data-plane sharing contract, distilled: one frozen view, eight
-  // foreign threads running full HK solves (both frontier modes) and raw
-  // CSR scans against it concurrently, no locks anywhere. Functional
-  // assertions keep the test meaningful in plain lanes; TSan is the real
-  // judge.
+  // foreign threads running full HK solves and raw CSR scans against it
+  // concurrently, no locks anywhere. The view has kParallelWorkCutoff
+  // edges, so each solve also runs its BFS levels and DFS batches on the
+  // shared 2-thread pool. Functional assertions keep the test meaningful
+  // in plain lanes; TSan is the real judge.
   Rng rng(31);
-  const GraphView g = freeze(gen::random_bipartite(64, 64, 400, rng));
+  const GraphView g = freeze(gen::random_bipartite(
+      128, 128, runtime::kParallelWorkCutoff, rng));
   const std::vector<char> side = exact::bipartition_of(g);
   ASSERT_FALSE(side.empty());
   const std::size_t ref_size = exact::hopcroft_karp(g, side).matching.size();
 
   std::vector<std::thread> readers;
   for (int t = 0; t < 8; ++t) {
-    readers.emplace_back([&, t] {
+    readers.emplace_back([&] {
       runtime::RuntimeConfig rt;
       rt.num_threads = 2;
-      const exact::HkFrontier mode =
-          t % 2 ? exact::HkFrontier::kScalar : exact::HkFrontier::kBitset;
       for (int rep = 0; rep < 3; ++rep) {
-        const auto result =
-            exact::hopcroft_karp(g, side, 0, nullptr, rt, nullptr, mode);
+        const auto result = exact::hopcroft_karp(g, side, 0, nullptr, rt);
         EXPECT_EQ(result.matching.size(), ref_size);
         std::size_t slots = 0;
         for (Vertex v = 0; v < g.num_vertices(); ++v) slots += g.degree(v);

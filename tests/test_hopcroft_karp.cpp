@@ -3,6 +3,8 @@
 #include "exact/brute_force.h"
 #include "exact/hopcroft_karp.h"
 #include "gen/generators.h"
+#include "obs/obs.h"
+#include "runtime/thread_pool.h"
 #include "util/rng.h"
 
 namespace wmatch {
@@ -87,20 +89,42 @@ TEST(HopcroftKarp, InitialMatchingNotInGraphRejected) {
 }
 
 TEST(HopcroftKarp, ResultIsInvariantAcrossThreadCounts) {
-  // The parallel BFS layers and the speculative DFS batch must produce
-  // the exact matching and phase count of the sequential path: the
-  // snapshot speculation is thread-independent and commits are ordered.
-  Rng rng(13);
-  Graph g = gen::random_bipartite(120, 120, 900, rng);
-  auto side = sides_by_cut(120, 240);
-  for (std::size_t max_phases : {std::size_t{0}, std::size_t{2}}) {
-    auto base = exact::hopcroft_karp(freeze(g), side, max_phases, nullptr,
-                                     runtime::RuntimeConfig{1});
-    for (std::size_t threads : {2u, 8u}) {
-      auto r = exact::hopcroft_karp(freeze(g), side, max_phases, nullptr,
-                                    runtime::RuntimeConfig{threads});
-      EXPECT_EQ(r.phases, base.phases) << threads;
-      EXPECT_EQ(r.matching, base.matching) << threads;
+  // Graphs just below and at the runtime's work cutoff: below it every
+  // thread count takes the sequential path, at it the BFS levels and the
+  // speculative DFS batch run on the pool. Either way the matching and
+  // the phase count must equal the one-thread solve's, with and without a
+  // seed matching and a phase limit: the snapshot speculation is
+  // thread-independent and commits are ordered.
+  constexpr std::size_t kCutoff = runtime::kParallelWorkCutoff;
+  obs::Counter& tasks_run = obs::counter("pool.tasks_run");
+  for (std::size_t m : {kCutoff - 1, kCutoff}) {
+    Rng rng(13);
+    const GraphView g = freeze(gen::random_bipartite(150, 150, m, rng));
+    const auto side = sides_by_cut(150, 300);
+    Matching greedy(300);  // maximal, not maximum: augmenting paths remain
+    for (const Edge& e : g.edges()) {
+      if (!greedy.is_matched(e.u) && !greedy.is_matched(e.v)) greedy.add(e);
+    }
+    for (const Matching* initial :
+         {static_cast<const Matching*>(nullptr),
+          static_cast<const Matching*>(&greedy)}) {
+      for (std::size_t max_phases : {std::size_t{0}, std::size_t{2}}) {
+        const auto base = exact::hopcroft_karp(g, side, max_phases, initial,
+                                               runtime::RuntimeConfig{1});
+        for (std::size_t threads : {2u, 4u}) {
+          const std::uint64_t before = tasks_run.value();
+          const auto r = exact::hopcroft_karp(g, side, max_phases, initial,
+                                              runtime::RuntimeConfig{threads});
+          const std::uint64_t tasks = tasks_run.value() - before;
+          EXPECT_EQ(r.phases, base.phases) << m << " edges, " << threads;
+          EXPECT_EQ(r.matching, base.matching) << m << " edges, " << threads;
+          if (m < kCutoff) {
+            EXPECT_EQ(tasks, 0u) << threads << " threads";
+          } else {
+            EXPECT_GT(tasks, 0u) << threads << " threads";
+          }
+        }
+      }
     }
   }
 }

@@ -8,6 +8,7 @@
 #include "gen/generators.h"
 #include "gen/weights.h"
 #include "hot_path.h"
+#include "runtime/thread_pool.h"
 #include "util/rng.h"
 
 namespace wmatch {
@@ -358,7 +359,8 @@ Matching greedy_matching(const GraphView& g) {
 
 /// Builds every pair pairs_for_values yields for `g` under two
 /// parametrizations, with `builder` and with the reference, and compares.
-/// Returns the number of builds whose gaps held >= 4096 candidate edges.
+/// Returns the number of builds whose gaps held at least
+/// runtime::kParallelWorkCutoff candidate edges (the pool-filtered ones).
 std::size_t check_against_reference(core::LayeredGraphBuilder& builder,
                                     const GraphView& g, Weight w_class,
                                     const core::TauConfig& tcfg,
@@ -381,7 +383,7 @@ std::size_t check_against_reference(core::LayeredGraphBuilder& builder,
       for (int b : tau.tau_b) {
         gap_work += buckets.unmatched[static_cast<std::size_t>(b)].size();
       }
-      if (gap_work >= 4096) ++pool_sized;
+      if (gap_work >= runtime::kParallelWorkCutoff) ++pool_sized;
       const LayeredGraph want = reference_build(buckets, m, par, tau, n);
       const std::optional<LayeredGraph> got =
           builder.build(buckets, m, par, tau, n, rt);

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include "api/api.h"
 #include "core/main_alg.h"
 #include "exact/blossom.h"
 #include "gen/generators.h"
 #include "gen/hard_instances.h"
 #include "gen/weights.h"
+#include "obs/obs.h"
 #include "util/rng.h"
 
 namespace wmatch {
@@ -116,6 +118,34 @@ TEST(MainAlg, LongAugmentationsNeedDeepLayers) {
     if (rd.total_gain > 15) deep_exceeded = true;
   }
   EXPECT_TRUE(deep_exceeded);
+}
+
+TEST(MainAlg, OnePoolTaskPerClassOnSmallSolves) {
+  // The ci bipartite cell: its layered graphs are far below the runtime's
+  // work cutoff, so the black-box solves inside a class task run
+  // sequentially and the pool runs exactly one task per class per round.
+  api::GenSpec gen;
+  gen.generator = "bipartite";
+  gen.n = 200;
+  gen.m = 800;
+  const api::Instance inst = api::generate_instance(gen);
+  obs::Counter& tasks_run = obs::counter("pool.tasks_run");
+  for (const char* algo : {"reduction-hk", "reduction-mpc"}) {
+    for (std::size_t threads : {2u, 4u}) {
+      api::SolverSpec spec;
+      spec.epsilon = 0.2;
+      spec.runtime.num_threads = threads;
+      const std::uint64_t before = tasks_run.value();
+      const api::SolveResult r = api::solve(algo, inst, spec);
+      const std::uint64_t tasks = tasks_run.value() - before;
+      const double rounds = r.stat("iterations", 0.0);
+      const double classes = r.stat("classes", 0.0);
+      ASSERT_GT(rounds, 0.0) << algo;
+      ASSERT_GT(classes, 1.0) << algo;
+      EXPECT_EQ(static_cast<double>(tasks), rounds * classes)
+          << algo << " at " << threads << " threads";
+    }
+  }
 }
 
 TEST(MainAlg, RejectsBadEpsilon) {

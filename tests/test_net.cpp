@@ -390,6 +390,38 @@ TEST(NetServer, MalformedLineAnswersErrorWithLineNumber) {
   EXPECT_EQ(summary.requests, 1u);
 }
 
+TEST(NetServer, PipelinedBurstIsAnsweredInOrder) {
+  // 1,200 job lines in one write: the server splits them out of reads
+  // that end mid-line (the burst is larger than one read), and with one
+  // worker the replies come back in submission order.
+  constexpr std::size_t kLines = 1200;
+  auto id_of = [](std::size_t k) {
+    std::string id = "p";
+    id += std::to_string(k);
+    return id;
+  };
+  TestServer ts(small_server(/*jobs=*/1, /*queue=*/2 * kLines));
+  Client client(ts.port());
+  std::string burst;
+  for (std::size_t k = 0; k < kLines; ++k) {
+    burst += job_line(id_of(k), "greedy", 30, 60, static_cast<int>(k % 7));
+  }
+  client.send(burst);
+  client.shutdown_send();
+  for (std::size_t k = 0; k < kLines; ++k) {
+    const std::string line = client.read_line();
+    ASSERT_FALSE(line.empty()) << "missing reply " << k;
+    const util::JsonValue obj = util::parse_json(line);
+    EXPECT_EQ(obj.find("error"), nullptr) << line;
+    ASSERT_NE(obj.find("id"), nullptr) << line;
+    ASSERT_EQ(obj.find("id")->as_string(), id_of(k));
+  }
+  EXPECT_TRUE(client.read_line(5.0).empty());  // then EOF
+  const net::ServeSummary summary = ts.finish();
+  EXPECT_EQ(summary.requests, kLines);
+  EXPECT_EQ(summary.rejected, 0u);
+}
+
 TEST(NetServer, MetricsControlLineAnswersRegistrySnapshot) {
   TestServer ts(small_server());
   Client client(ts.port());
