@@ -5,9 +5,12 @@
 //     bipartite instance's classes (bench/hot_path.h) —
 //       tau-pairs       pairs_for_values over every class's value sets
 //       layered-build   every class pair through one LayeredGraphBuilder
+//       blossom         blossom_max_weight, weighted and max-cardinality,
+//                       on the stream workload's random-arrival T set
 //     (their checksums equal the reference implementations', asserted by
-//     tests/test_tau.cpp and tests/test_layered_graph.cpp), and for the
-//     layout primitives the immutable data plane introduced —
+//     tests/test_tau.cpp, tests/test_layered_graph.cpp and
+//     tests/test_blossom.cpp), and for the layout primitives the immutable
+//     data plane introduced —
 //       csr-neighbor-scan   (frozen CSR slot arrays, one full traversal)
 //       hk-bfs-bitset       (the word-parallel HK layering pass; its
 //          dist labels are checked against a serial BFS by
@@ -35,6 +38,7 @@
 #include "bench_common.h"
 #include "core/layered_graph.h"
 #include "core/tau.h"
+#include "exact/blossom.h"
 #include "exact/hopcroft_karp.h"
 #include "gen/generators.h"
 #include "gen/weights.h"
@@ -196,9 +200,10 @@ void write_kernels_json(std::ostream& os,
 
 int run_kernel_section(const bench::Args& args) {
   bench::header(
-      "micro kernels / reduction hot path + data-plane layout",
+      "micro kernels / hot paths + data-plane layout",
       "Tau-pair enumeration and layered-graph builds over the ci "
-      "bipartite instance's classes; a frozen-CSR scan; the word-parallel "
+      "bipartite instance's classes; Blossom on the stream workload's "
+      "random-arrival T set; a frozen-CSR scan; the word-parallel "
       "HK BFS layering pass; arena-backed fork scratch vs fresh heap "
       "vectors. Median of 9 reps, informational wall-ms.");
 
@@ -209,6 +214,7 @@ int run_kernel_section(const bench::Args& args) {
   runtime::Arena arena;
 
   const bench::hot_path::Inputs hot = bench::hot_path::ci_bipartite_inputs();
+  const GraphView t_set = bench::hot_path::stream_t_set();
 
   std::vector<KernelResult> results;
   results.push_back(run_kernel("tau-pairs", [&] {
@@ -222,6 +228,9 @@ int run_kernel_section(const bench::Args& args) {
           return builder.build(c.buckets, hot.m, c.par, tau,
                                hot.g.num_vertices());
         });
+  }));
+  results.push_back(run_kernel("blossom", [&] {
+    return bench::hot_path::blossom_checksum(t_set, exact::blossom_max_weight);
   }));
   results.push_back(run_kernel("csr-neighbor-scan",
                                [&] { return csr_neighbor_scan(scan_view); }));
@@ -247,7 +256,8 @@ int run_kernel_section(const bench::Args& args) {
   }
   bench::footer(
       "tau-pairs and layered-build are the reduction's per-class "
-      "scaffolding (the black box is not in them); arena-fork-scratch "
+      "scaffolding (the black box is not in them); blossom is the "
+      "random-arrival algorithms' exact step; arena-fork-scratch "
       "amortizes away heap-fork-scratch's per-fork allocations.");
   return 0;
 }
@@ -262,7 +272,6 @@ int run_kernel_section(const bench::Args& args) {
 #include "core/layered_graph.h"
 #include "core/rand_arr_matching.h"
 #include "core/tau.h"
-#include "exact/blossom.h"
 
 namespace {
 

@@ -1,11 +1,13 @@
-// Inputs and checksums for the reduction's hot-path kernels: tau-pair
+// Inputs and checksums for the hot-path kernels: the reduction's tau-pair
 // enumeration and layered-graph builds, as find_class_augmentations runs
-// them.
+// them, and the Blossom solve of the random-arrival algorithm's edge set T.
 //
 // The inputs are the `ci` preset's bipartite reduction instance (n=200,
 // m=800, uniform weights up to 4096, seed 1) under its greedy-by-weight
 // matching, cut into the reduction's weight-class ladder; each class gets
 // its own random parametrization, bucketed crossing edges and value sets.
+// The Blossom input is the set T that rand_arr_matching hands to
+// blossom_max_weight on the stream workload's erdos_renyi graph.
 // bench_micro_kernels times the library over them; the tests feed the same
 // inputs to the reference implementations and require equal checksums.
 #pragma once
@@ -18,6 +20,7 @@
 
 #include "api/instance.h"
 #include "baselines/greedy.h"
+#include "baselines/local_ratio.h"
 #include "core/layered_graph.h"
 #include "core/main_alg.h"
 #include "core/tau.h"
@@ -128,6 +131,52 @@ std::uint64_t layered_build_checksum(const Inputs& in, BuildFn&& build) {
       }
       for (const Edge& e : lg->ml.edges()) h = fold(h, e.key());
     }
+  }
+  return h;
+}
+
+/// The edge set T of Algorithm 2, Line 14 on the erdos_renyi graph n=2000,
+/// m=10000 (uniform weights, seed 1) in its random arrival order: local
+/// ratio runs over the prefix p = 1/log2(n) as rand_arr_matching does,
+/// freezes, and T keeps the suffix edges it would still push, at residual
+/// weight. The view spans all n vertices; 240 of them have no T edge.
+inline GraphView stream_t_set() {
+  api::GenSpec spec;
+  spec.n = 2000;
+  spec.m = 10000;
+  const api::Instance inst = api::generate_instance(spec);
+  const std::size_t n = inst.num_vertices();
+  const double ln = std::log2(static_cast<double>(n));
+  const double p = std::min(0.5, 100.0 / (ln * 100.0));
+  const std::size_t prefix =
+      static_cast<std::size_t>(p * static_cast<double>(inst.stream.size()));
+  baselines::LocalRatio lr(n);
+  for (std::size_t i = 0; i < prefix; ++i) lr.feed(inst.stream[i]);
+  lr.freeze();
+  std::vector<Edge> t_set;
+  for (std::size_t i = prefix; i < inst.stream.size(); ++i) {
+    const Edge& e = inst.stream[i];
+    if (lr.feed(e)) {
+      t_set.push_back({e.u, e.v, e.w - lr.potential(e.u) - lr.potential(e.v)});
+    }
+  }
+  return GraphView(Graph(n, std::move(t_set)));
+}
+
+/// Folds the edges of a weighted and a maximum-cardinality solve of g, as
+/// rand-arrival and unw-rand-arrival call Blossom. `solve(g, max_card)` is
+/// blossom_max_weight or a reference with its signature.
+template <typename SolveFn>
+std::uint64_t blossom_checksum(const GraphView& g, SolveFn&& solve) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const bool max_card : {false, true}) {
+    const Matching m = solve(g, max_card);
+    for (const Edge& e : m.edges()) {
+      h = fold(h, e.u);
+      h = fold(h, e.v);
+      h = fold(h, static_cast<std::uint64_t>(e.w));
+    }
+    h = fold(h, m.size());
   }
   return h;
 }

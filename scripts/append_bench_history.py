@@ -1,6 +1,5 @@
 #!/usr/bin/env python3
-"""Append one entry per CI run to the committed bench trajectory
-(ISSUE 6 satellite).
+"""Append one entry to the committed bench trajectory.
 
 Usage:
   append_bench_history.py HISTORY.json BENCH1.json [BENCH2.json ...]
@@ -10,8 +9,21 @@ Reads schema-versioned BENCH JSON documents (sweep or batch flavour —
 both carry "schema_version" and "results") and appends one entry
 
   {"sha": ..., "date": ..., "benches": {
-      "<bench name>": {"cells": N, "wall_ms_total": T,
+      "<bench name>": {"cells": N, "runs": R, "wall_ms_total": T,
+                        "wall_ms_total_mad": D,
                         "latency_ms_p95": P, "latency_ms_p99": Q}}}
+
+to HISTORY.json ({"schema_version": 1, "entries": [...]}; created when
+missing). Per bench document:
+
+  - wall_ms_total: the batch document's service.wall_ms_total when
+    present (true batch wall clock), otherwise the sum of per-cell
+    median wall ms — the serial-work trajectory of a sweep grid;
+  - latency_ms_p95 / latency_ms_p99: the 95th / 99th percentile
+    (nearest-rank) of per-cell / per-job median wall ms across
+    non-skipped entries. For loadgen documents the per-template median
+    IS end-to-end serving latency, so these track the tail of the
+    serving path.
 
 Documents marked "kind": "kernels" (bench_micro_kernels --json) also get
 a "kernels": {"<kernel id>": median_ms} map in their summary, so each
@@ -21,20 +33,17 @@ micro-kernel tracks as its own trajectory line. Documents marked
 path (admission / queue wait / solve / response write) of the CI
 serving smoke, tracked segment by segment.
 
-to HISTORY.json ({"schema_version": 1, "entries": [...]}; created when
-missing). Per bench:
+Several documents may carry the same bench name: R repeated runs of one
+bench (for example R runs of `wmatch_cli bench --preset=ci`; all must
+have the same number of cells). The entry then stores, with runs = R,
+the median over the runs of every figure above (per kernel and per
+segment too) and wall_ms_total_mad, the median absolute deviation of the
+R totals from their median (0 for a single run), so a later entry can be
+read against this one's spread.
 
-  - wall_ms_total: the batch document's service.wall_ms_total when
-    present (true batch wall clock), otherwise the sum of per-cell
-    median wall ms — the serial-work trajectory of a sweep grid;
-  - latency_ms_p95 / latency_ms_p99: the 95th / 99th percentile
-    (nearest-rank) of per-cell / per-job median wall ms across
-    non-skipped entries. For loadgen documents the per-template median
-    IS end-to-end serving latency, so these track the tail of the
-    serving path (ISSUE 8).
-
-Wall clock is noisy across runners, so the trajectory is a trend line,
-not a gate — the exact-counter gate lives in check_bench_regression.py.
+Wall clock is noisy across runners and hosts, so the trajectory is a
+trend line, not a gate — the exact-counter gate lives in
+check_bench_regression.py.
 The revision is taken from --sha, else $GITHUB_SHA, else `git rev-parse
 --short HEAD`, else "unknown". --max-entries (default 500) caps the file
 by dropping the oldest entries.
@@ -43,6 +52,7 @@ by dropping the oldest entries.
 import datetime
 import json
 import os
+import statistics
 import subprocess
 import sys
 
@@ -92,6 +102,41 @@ def summarize(path):
     return doc.get("bench", os.path.basename(path)), summary
 
 
+def combine(runs):
+    """Folds the summaries of R runs of one bench into one entry."""
+    totals = [r["wall_ms_total"] for r in runs]
+    median_total = statistics.median(totals)
+    summary = {
+        "cells": runs[0]["cells"],
+        "runs": len(runs),
+        "wall_ms_total": round(median_total, 3),
+        "wall_ms_total_mad": round(
+            statistics.median(abs(t - median_total) for t in totals), 3),
+    }
+    for key in ("latency_ms_p95", "latency_ms_p99"):
+        summary[key] = round(statistics.median(r[key] for r in runs), 3)
+    for key in ("kernels", "segments"):
+        if key in runs[0]:
+            summary[key] = {
+                name: round(statistics.median(r[key][name] for r in runs), 4)
+                for name in runs[0][key]
+            }
+    return summary
+
+
+def summarize_all(paths):
+    """{bench name: combined summary}, in first-seen order."""
+    runs = {}
+    for path in paths:
+        name, summary = summarize(path)
+        if name in runs and summary["cells"] != runs[name][0]["cells"]:
+            raise SystemExit(f"{path}: bench {name!r} has "
+                             f"{summary['cells']} cells, an earlier run "
+                             f"{runs[name][0]['cells']}")
+        runs.setdefault(name, []).append(summary)
+    return {name: combine(r) for name, r in runs.items()}
+
+
 def resolve_sha(flag_value):
     if flag_value:
         return flag_value
@@ -134,7 +179,7 @@ def main(argv):
     entry = {
         "sha": resolve_sha(sha),
         "date": date or datetime.date.today().isoformat(),
-        "benches": dict(summarize(p) for p in bench_paths),
+        "benches": summarize_all(bench_paths),
     }
     history["entries"].append(entry)
     history["entries"] = history["entries"][-max_entries:]

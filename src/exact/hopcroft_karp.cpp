@@ -25,19 +25,14 @@ constexpr std::uint32_t kNoEdge = std::numeric_limits<std::uint32_t>::max();
 constexpr std::size_t kBfsWordGrain = 2;
 constexpr std::size_t kDfsGrain = 4;
 
-Vertex mate_of(const GraphView& g, std::span<const std::uint32_t> match_edge,
-               Vertex v) {
-  return match_edge[v] == kNoEdge ? kNoVertex
-                                  : g.edge(match_edge[v]).other(v);
-}
-
 struct BfsPart {
   bool free_right = false;
   bool any_next = false;
 };
 
-/// Word-parallel level-synchronous BFS from the free left vertices. The
-/// frontier and the claimed set pack 64 vertices per word; `words` holds
+/// Word-parallel level-synchronous BFS from the free left vertices.
+/// `mate[v]` is v's partner along `match_edge[v]` (kNoVertex when free).
+/// The frontier and the claimed set pack 64 vertices per word; `words` holds
 /// 3 * bitset_words(n) words (frontier, next, claimed). A right vertex is
 /// claimed by an atomic fetch_or on its claimed bit; the claim winner is
 /// the unique writer of dist[u] and of its mate's dist and frontier bit.
@@ -46,7 +41,8 @@ struct BfsPart {
 /// the dist labels (and the reachable-free-right flag) are independent of
 /// chunking, schedule and thread count.
 bool bfs_layers(const GraphView& g, std::span<const std::uint32_t> match_edge,
-                std::span<const char> in_left, std::span<std::uint32_t> dist,
+                std::span<const Vertex> mate, std::span<const char> in_left,
+                std::span<std::uint32_t> dist,
                 runtime::ThreadPool& pool, std::span<std::uint64_t> words) {
   const std::size_t nwords = words.size() / 3;
   std::span<std::uint64_t> cur = words.subspan(0, nwords);
@@ -75,13 +71,13 @@ bool bfs_layers(const GraphView& g, std::span<const std::uint32_t> match_edge,
                   const Vertex v = static_cast<Vertex>(vi);
                   const auto ids = g.incident(v);
                   const auto nbrs = g.neighbors(v);
+                  const std::uint32_t matched = match_edge[v];
                   for (std::size_t s = 0; s < ids.size(); ++s) {
-                    const std::uint32_t ei = ids[s];
-                    if (ei == match_edge[v]) continue;
+                    if (ids[s] == matched) continue;
                     const Vertex u = nbrs[s];
                     if (!util::bit_test_and_set_atomic(claimed, u)) continue;
                     dist[u] = level + 1;  // claim winner: unique writer
-                    const Vertex mw = mate_of(g, match_edge, u);
+                    const Vertex mw = mate[u];
                     if (mw == kNoVertex) {
                       local.free_right = true;
                     } else {
@@ -141,7 +137,12 @@ bool hk_bfs_layering(const GraphView& g,
   runtime::ArenaVector<std::uint64_t> words(
       3 * util::bitset_words(g.num_vertices()), 0,
       runtime::ArenaAllocator<std::uint64_t>(scratch));
-  return bfs_layers(g, match_edge, in_left, dist, pool, words);
+  runtime::ArenaVector<Vertex> mate(g.num_vertices(), kNoVertex,
+                                    runtime::ArenaAllocator<Vertex>(scratch));
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    if (match_edge[v] != kNoEdge) mate[v] = g.edge(match_edge[v]).other(v);
+  }
+  return bfs_layers(g, match_edge, mate, in_left, dist, pool, words);
 }
 
 HopcroftKarpResult hopcroft_karp(const GraphView& g,
@@ -166,25 +167,25 @@ HopcroftKarpResult hopcroft_karp(const GraphView& g,
   const runtime::ArenaAllocator<char> alloc8(scratch);
   const runtime::ArenaAllocator<std::uint64_t> alloc64(scratch);
 
-  // match_edge[v] = index of the matched edge at v, or kNoEdge.
+  // match_edge[v] = index of the matched edge at v, or kNoEdge; mate[v]
+  // = its other endpoint, or kNoVertex, so no lookup touches the edge list.
+  // mate is heap scratch, freed on return: arena scratch piles up over all
+  // of a round's calls until the round barrier resets it, and mate would
+  // add a third to it.
   runtime::ArenaVector<std::uint32_t> match_edge(n, kNoEdge, alloc32);
+  std::vector<Vertex> mate(n, kNoVertex);
   if (initial) {
     WMATCH_REQUIRE(initial->num_vertices() == n, "initial matching size");
     for (const Edge& me : initial->edges()) {
-      bool found = false;
-      for (std::uint32_t ei : g.incident(me.u)) {
-        if (g.edge(ei).has_endpoint(me.v)) {
-          match_edge[me.u] = ei;
-          match_edge[me.v] = ei;
-          found = true;
-          break;
-        }
-      }
-      WMATCH_REQUIRE(found, "initial matching edge not in graph");
+      const auto nbrs = g.neighbors(me.u);
+      const auto it = std::find(nbrs.begin(), nbrs.end(), me.v);
+      WMATCH_REQUIRE(it != nbrs.end(), "initial matching edge not in graph");
+      const std::uint32_t ei = g.incident(me.u)[it - nbrs.begin()];
+      match_edge[me.u] = match_edge[me.v] = ei;
+      mate[me.u] = me.v;
+      mate[me.v] = me.u;
     }
   }
-
-  auto mate = [&](Vertex v) -> Vertex { return mate_of(g, match_edge, v); };
 
   runtime::ArenaVector<char> in_left(n, 0, alloc8);
   for (Vertex v = 0; v < n; ++v) in_left[v] = (side[v] == 0);
@@ -200,36 +201,45 @@ HopcroftKarpResult hopcroft_karp(const GraphView& g,
   runtime::ArenaVector<std::uint64_t> words(3 * util::bitset_words(n), 0,
                                             alloc64);
   auto bfs = [&]() -> bool {
-    return bfs_layers(g, match_edge, in_left, dist, pool, words);
+    return bfs_layers(g, match_edge, mate, in_left, dist, pool, words);
   };
 
   // One DFS walk from `root` along the dist layering, shared by the
   // speculative and the retry path — they differ only in how they skip /
   // retire fruitless right vertices. `skip(u)` filters a right vertex
-  // before it is considered; `mark_dead(u)` retires one whose subtree is
+  // before it is considered; `mark_dead(u)` retires a matched right vertex
+  // off the next layer, and `retire(frame)` runs when a frame's subtree is
   // exhausted (a subtree only moves to strictly larger dist values, so
   // fruitlessness is independent of the path prefix — and, against a
   // frozen snapshot, of the root as well). Returns the non-matching edges
   // of an augmenting path root -> free right vertex (empty if none).
+  // `stack` is the caller's reusable frame buffer, empty between walks.
+  // A frame's own dist and match_edge cannot change while it is on top of
+  // the stack, so it reads them once per visit.
   struct Frame {
     Vertex v;              // left vertex being expanded
     std::size_t it;        // next incident-edge slot of v
     std::uint32_t entry;   // edge that entered v (kNoEdge for the root)
+    Vertex entry_right;    // the right vertex `entry` leads to; v's mate
   };
-  auto walk = [&](Vertex root, auto&& skip,
-                  auto&& mark_dead) -> std::vector<std::uint32_t> {
-    std::vector<Frame> stack{{root, 0, kNoEdge}};
+  auto walk = [&](Vertex root, std::vector<Frame>& stack, auto&& skip,
+                  auto&& mark_dead,
+                  auto&& retire) -> std::vector<std::uint32_t> {
+    stack.push_back({root, 0, kNoEdge, kNoVertex});
     while (!stack.empty()) {
       Frame& f = stack.back();
       const auto inc = g.incident(f.v);
+      const auto nbrs = g.neighbors(f.v);
+      const std::uint32_t matched = match_edge[f.v];
+      const std::uint32_t target = dist[f.v] + 1;
       bool descended = false;
       for (; f.it < inc.size(); ++f.it) {
         const std::uint32_t ei = inc[f.it];
-        if (ei == match_edge[f.v]) continue;
-        const Vertex u = g.edge(ei).other(f.v);
-        if (dist[u] != dist[f.v] + 1) continue;
+        if (ei == matched) continue;
+        const Vertex u = nbrs[f.it];
+        if (dist[u] != target) continue;
         if (skip(u)) continue;
-        const Vertex w = mate(u);
+        const Vertex w = mate[u];
         if (w == kNoVertex) {
           std::vector<std::uint32_t> path;
           path.reserve(stack.size());
@@ -237,19 +247,19 @@ HopcroftKarpResult hopcroft_karp(const GraphView& g,
             if (fr.entry != kNoEdge) path.push_back(fr.entry);
           }
           path.push_back(ei);
+          stack.clear();
           return path;
         }
-        if (dist[w] == dist[u] + 1) {
+        if (dist[w] == target + 1) {
           ++f.it;  // resume after this edge when the subtree fails
-          stack.push_back({w, 0, ei});
+          stack.push_back({w, 0, ei, u});
           descended = true;
           break;
         }
         mark_dead(u);  // matched off-layer: a dead end for this phase
       }
       if (descended) continue;
-      // f.v is exhausted: its entry right vertex is fruitless everywhere.
-      if (f.entry != kNoEdge) mark_dead(g.edge(f.entry).other(f.v));
+      if (f.entry != kNoEdge) retire(f);
       stack.pop_back();
     }
     return {};
@@ -264,21 +274,33 @@ HopcroftKarpResult hopcroft_karp(const GraphView& g,
   // thread-count invariance (chunking differs, results do not) and keeps
   // a phase's sequential work near the classic shared-pruning bound at
   // num_threads = 1 (one chunk = full cross-root memoization).
-  auto speculate = [&](Vertex root,
+  // An exhausted frame's entry right vertex is fruitless everywhere.
+  auto speculate = [&](Vertex root, std::vector<Frame>& stack,
                        std::vector<char>& dead) -> std::vector<std::uint32_t> {
     return walk(
-        root, [&](Vertex u) { return dead[u] != 0; },
-        [&](Vertex u) { dead[u] = 1; });
+        root, stack, [&](Vertex u) { return dead[u] != 0; },
+        [&](Vertex u) { dead[u] = 1; },
+        [&](const Frame& f) { dead[f.entry_right] = 1; });
   };
 
   // Serial fallback for roots whose speculative path conflicted with an
   // earlier commit: the classic live-state DFS, pruning globally through
   // dist (committed paths and exhausted subtrees are marked kInf, which is
   // sound because the per-phase search space only ever shrinks).
+  // An exhausted frame retires `edge(entry).other(v)`. v is not an
+  // endpoint of its entry edge, so that is the edge's `u` end: the right
+  // vertex when the edge is stored (right, left), the parent left vertex
+  // when it is stored (left, right). Retiring the parent gives it dist
+  // kInf, so its frame's target wraps to 0, it finds no further edge and
+  // retires its own parent in turn: the retry gives up after its first
+  // fruitless descent. The committed matchings and phase counts depend on
+  // this, so it stays until a change that may move them (see ROADMAP.md).
+  std::vector<Frame> retry_stack;
   auto retry = [&](Vertex root) -> std::vector<std::uint32_t> {
     return walk(
-        root, [](Vertex) { return false; },
-        [&](Vertex u) { dist[u] = kInf; });
+        root, retry_stack, [](Vertex) { return false; },
+        [&](Vertex u) { dist[u] = kInf; },
+        [&](const Frame& f) { dist[g.edge(f.entry).other(f.v)] = kInf; });
   };
 
   // Flips the matching along the non-matching edges of an augmenting path
@@ -289,6 +311,8 @@ HopcroftKarpResult hopcroft_karp(const GraphView& g,
       const Edge& e = g.edge(ei);
       match_edge[e.u] = ei;
       match_edge[e.v] = ei;
+      mate[e.u] = e.v;
+      mate[e.v] = e.u;
       claimed[e.u] = claimed[e.v] = 1;
       dist[e.u] = dist[e.v] = kInf;
     }
@@ -313,10 +337,12 @@ HopcroftKarpResult hopcroft_karp(const GraphView& g,
     // in root index order, falling back to a live serial DFS for roots
     // whose candidate touches an already-committed vertex. Speculation is
     // snapshot-pure and the commit/retry pass is sequential, so the phase
-    // outcome is bit-identical for any thread count; and every free root
-    // either augments or proves no disjoint path remains, so the committed
-    // set is maximal — exactly the per-phase invariant Hopcroft-Karp's
-    // bounds (and Fact 1.3) rely on.
+    // outcome is bit-identical for any thread count. Every free root is
+    // meant to either augment or prove no disjoint path remains, making the
+    // committed set maximal — the per-phase invariant Hopcroft-Karp's
+    // bounds (and Fact 1.3) rely on — but the retire step of `retry`
+    // above can end a retry early, so today a phase may stop short of
+    // maximal.
     bool any = false;
     {
       obs::Span dfs_span("hk.dfs");
@@ -330,8 +356,9 @@ HopcroftKarpResult hopcroft_karp(const GraphView& g,
       runtime::parallel_for(
           pool, roots.size(), kDfsGrain, [&](std::size_t lo, std::size_t hi) {
             std::vector<char> dead(n, 0);  // shared across the chunk's roots
+            std::vector<Frame> stack;
             for (std::size_t i = lo; i < hi; ++i) {
-              candidate[i] = speculate(roots[i], dead);
+              candidate[i] = speculate(roots[i], stack, dead);
             }
           });
 
@@ -364,7 +391,7 @@ HopcroftKarpResult hopcroft_karp(const GraphView& g,
 
   Matching m(n);
   for (Vertex v = 0; v < n; ++v) {
-    if (match_edge[v] != kNoEdge && v < g.edge(match_edge[v]).other(v)) {
+    if (match_edge[v] != kNoEdge && v < mate[v]) {
       m.add(g.edge(match_edge[v]));
     }
   }

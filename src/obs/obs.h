@@ -14,6 +14,7 @@
 //              spans; rounds counter
 //   hk.*       exact::hopcroft_karp  — hk.phase / hk.bfs / hk.dfs spans;
 //              phases counter
+//   exact.*    exact::blossom_max_weight — exact.blossom spans (arg: mode)
 //   mpc.*      mpc_bipartite_matching — mpc.sample / mpc.filter spans
 //   net.*      net::Server           — net.conn / net.admit / net.request
 //              spans + per-request "req" flow steps; connections_total,

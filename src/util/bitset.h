@@ -35,14 +35,15 @@ inline void bit_set(std::span<std::uint64_t> words, std::size_t i) {
 
 /// Atomically sets bit i; returns true iff this call flipped it 0 -> 1.
 /// Relaxed order: the bit is a pure claim token, the data it guards is
-/// published by the parallel_reduce barrier, not by this operation.
+/// published by the parallel_reduce barrier, not by this operation. A bit
+/// already seen set is lost without the read-modify-write: a set bit is
+/// never cleared while claims run.
 inline bool bit_test_and_set_atomic(std::span<std::uint64_t> words,
                                     std::size_t i) {
   const std::uint64_t mask = std::uint64_t{1} << (i % kBitsPerWord);
-  const std::uint64_t prev =
-      std::atomic_ref<std::uint64_t>(words[i / kBitsPerWord])
-          .fetch_or(mask, std::memory_order_relaxed);
-  return (prev & mask) == 0;
+  std::atomic_ref<std::uint64_t> word(words[i / kBitsPerWord]);
+  if (word.load(std::memory_order_relaxed) & mask) return false;
+  return (word.fetch_or(mask, std::memory_order_relaxed) & mask) == 0;
 }
 
 /// Atomically sets bit i without reporting the previous value.

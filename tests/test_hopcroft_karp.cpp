@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "exact/brute_force.h"
 #include "exact/hopcroft_karp.h"
 #include "gen/generators.h"
@@ -9,6 +13,184 @@
 
 namespace wmatch {
 namespace {
+
+// Hopcroft-Karp as it stood before the slot-parallel DFS rewrite, run
+// serially: the same phases (a full level-synchronous BFS layering, then a
+// speculative DFS from every free root against the phase-start snapshot
+// with one shared dead set, then an ordered commit that reruns a
+// conflicting root's DFS on the live state), with the walk as it was. The
+// library must return the same matching and phase count at every thread
+// count.
+namespace reference {
+
+constexpr std::uint32_t kInf = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint32_t kNoEdge = std::numeric_limits<std::uint32_t>::max();
+
+exact::HopcroftKarpResult seed_hopcroft_karp(const GraphView& g,
+                                             const std::vector<char>& side,
+                                             std::size_t max_phases,
+                                             const Matching* initial) {
+  const std::size_t n = g.num_vertices();
+  std::vector<std::uint32_t> match_edge(n, kNoEdge);
+  if (initial) {
+    for (const Edge& me : initial->edges()) {
+      for (std::uint32_t ei : g.incident(me.u)) {
+        if (g.edge(ei).has_endpoint(me.v)) {
+          match_edge[me.u] = ei;
+          match_edge[me.v] = ei;
+          break;
+        }
+      }
+    }
+  }
+  auto mate = [&](Vertex v) -> Vertex {
+    return match_edge[v] == kNoEdge ? kNoVertex
+                                    : g.edge(match_edge[v]).other(v);
+  };
+  std::vector<std::uint32_t> dist(n, 0);
+
+  // Plain serial BFS: the bitset BFS's labels are those of this one.
+  auto bfs = [&]() -> bool {
+    std::fill(dist.begin(), dist.end(), kInf);
+    std::vector<Vertex> cur;
+    for (Vertex v = 0; v < n; ++v) {
+      if (side[v] == 0 && match_edge[v] == kNoEdge) {
+        dist[v] = 0;
+        cur.push_back(v);
+      }
+    }
+    bool reachable_free_right = false;
+    std::uint32_t level = 0;
+    while (!cur.empty()) {
+      std::vector<Vertex> next;
+      for (Vertex v : cur) {
+        for (std::uint32_t ei : g.incident(v)) {
+          if (ei == match_edge[v]) continue;
+          const Vertex u = g.edge(ei).other(v);
+          if (dist[u] != kInf) continue;
+          dist[u] = level + 1;
+          const Vertex mw = mate(u);
+          if (mw == kNoVertex) {
+            reachable_free_right = true;
+          } else {
+            dist[mw] = level + 2;
+            next.push_back(mw);
+          }
+        }
+      }
+      cur = std::move(next);
+      level += 2;
+    }
+    return reachable_free_right;
+  };
+
+  struct Frame {
+    Vertex v;
+    std::size_t it;
+    std::uint32_t entry;
+  };
+  auto walk = [&](Vertex root, auto&& skip,
+                  auto&& mark_dead) -> std::vector<std::uint32_t> {
+    std::vector<Frame> stack{{root, 0, kNoEdge}};
+    while (!stack.empty()) {
+      Frame& f = stack.back();
+      const auto inc = g.incident(f.v);
+      bool descended = false;
+      for (; f.it < inc.size(); ++f.it) {
+        const std::uint32_t ei = inc[f.it];
+        if (ei == match_edge[f.v]) continue;
+        const Vertex u = g.edge(ei).other(f.v);
+        if (dist[u] != dist[f.v] + 1) continue;
+        if (skip(u)) continue;
+        const Vertex w = mate(u);
+        if (w == kNoVertex) {
+          std::vector<std::uint32_t> path;
+          for (const Frame& fr : stack) {
+            if (fr.entry != kNoEdge) path.push_back(fr.entry);
+          }
+          path.push_back(ei);
+          return path;
+        }
+        if (dist[w] == dist[u] + 1) {
+          ++f.it;
+          stack.push_back({w, 0, ei});
+          descended = true;
+          break;
+        }
+        mark_dead(u);
+      }
+      if (descended) continue;
+      if (f.entry != kNoEdge) mark_dead(g.edge(f.entry).other(f.v));
+      stack.pop_back();
+    }
+    return {};
+  };
+
+  std::vector<char> claimed(n, 0);
+  auto commit = [&](const std::vector<std::uint32_t>& path) {
+    for (std::uint32_t ei : path) {
+      const Edge& e = g.edge(ei);
+      match_edge[e.u] = ei;
+      match_edge[e.v] = ei;
+      claimed[e.u] = claimed[e.v] = 1;
+      dist[e.u] = dist[e.v] = kInf;
+    }
+  };
+
+  std::size_t phases = 0;
+  while (max_phases == 0 || phases < max_phases) {
+    if (!bfs()) break;
+    bool any = false;
+    std::vector<Vertex> roots;
+    for (Vertex v = 0; v < n; ++v) {
+      if (side[v] == 0 && match_edge[v] == kNoEdge && dist[v] == 0) {
+        roots.push_back(v);
+      }
+    }
+    std::vector<std::vector<std::uint32_t>> candidate(roots.size());
+    std::vector<char> dead(n, 0);
+    for (std::size_t i = 0; i < roots.size(); ++i) {
+      candidate[i] = walk(
+          roots[i], [&](Vertex u) { return dead[u] != 0; },
+          [&](Vertex u) { dead[u] = 1; });
+    }
+    std::fill(claimed.begin(), claimed.end(), 0);
+    for (std::size_t i = 0; i < roots.size(); ++i) {
+      const std::vector<std::uint32_t>& path = candidate[i];
+      if (path.empty()) continue;
+      bool clean = true;
+      for (std::uint32_t ei : path) {
+        const Edge& e = g.edge(ei);
+        if (claimed[e.u] || claimed[e.v]) {
+          clean = false;
+          break;
+        }
+      }
+      if (!clean) {
+        const std::vector<std::uint32_t> rerun = walk(
+            roots[i], [](Vertex) { return false; },
+            [&](Vertex u) { dist[u] = kInf; });
+        if (rerun.empty()) continue;
+        commit(rerun);
+      } else {
+        commit(path);
+      }
+      any = true;
+    }
+    ++phases;
+    if (!any) break;
+  }
+
+  Matching m(n);
+  for (Vertex v = 0; v < n; ++v) {
+    if (match_edge[v] != kNoEdge && v < g.edge(match_edge[v]).other(v)) {
+      m.add(g.edge(match_edge[v]));
+    }
+  }
+  return {std::move(m), phases};
+}
+
+}  // namespace reference
 
 std::vector<char> sides_by_cut(std::size_t n_left, std::size_t n) {
   std::vector<char> side(n, 1);
@@ -122,6 +304,69 @@ TEST(HopcroftKarp, ResultIsInvariantAcrossThreadCounts) {
             EXPECT_EQ(tasks, 0u) << threads << " threads";
           } else {
             EXPECT_GT(tasks, 0u) << threads << " threads";
+          }
+        }
+      }
+    }
+  }
+}
+
+/// A random bipartite graph on n_left + n_right vertices. `orientation` 0
+/// stores every edge as (left, right), 1 as (right, left), 2 picks one of
+/// the two per edge at random.
+GraphView oriented_bipartite(std::size_t n_left, std::size_t n_right,
+                             std::size_t m, int orientation, Rng& rng) {
+  const Graph g = gen::random_bipartite(n_left, n_right, m, rng);
+  Graph out(g.num_vertices());
+  for (const Edge& e : g.edges()) {
+    const bool flip = orientation == 1 || (orientation == 2 && (rng.next() & 1) != 0);
+    if (flip) {
+      out.add_edge(e.v, e.u, e.w);
+    } else {
+      out.add_edge(e.u, e.v, e.w);
+    }
+  }
+  return freeze(std::move(out));
+}
+
+TEST(HopcroftKarp, MatchesSeedWalkAtEveryThreadCount) {
+  // Below and above runtime::kParallelWorkCutoff, dense and sparse (deep
+  // layerings, many commit conflicts), with edges stored (left, right),
+  // (right, left) and mixed; with and without a maximal initial matching
+  // and a phase limit; at 1, 2 and 4 threads.
+  constexpr std::size_t kCutoff = runtime::kParallelWorkCutoff;
+  struct Shape {
+    std::size_t n_left, n_right, m;
+  };
+  for (const Shape& shape : {Shape{150, 150, kCutoff - 1},
+                             Shape{400, 300, kCutoff + 904},
+                             Shape{1500, 1500, 2 * kCutoff},
+                             Shape{2000, 2000, 3000}}) {
+    for (int orientation = 0; orientation < 3; ++orientation) {
+      Rng rng(shape.m + static_cast<std::uint64_t>(orientation));
+      const GraphView g = oriented_bipartite(shape.n_left, shape.n_right,
+                                             shape.m, orientation, rng);
+      const auto side = sides_by_cut(shape.n_left, g.num_vertices());
+      Matching greedy(g.num_vertices());
+      for (const Edge& e : g.edges()) {
+        if (!greedy.is_matched(e.u) && !greedy.is_matched(e.v)) greedy.add(e);
+      }
+      for (const Matching* initial :
+           {static_cast<const Matching*>(nullptr),
+            static_cast<const Matching*>(&greedy)}) {
+        for (std::size_t max_phases : {std::size_t{0}, std::size_t{2}}) {
+          const auto want =
+              reference::seed_hopcroft_karp(g, side, max_phases, initial);
+          for (std::size_t threads : {1u, 2u, 4u}) {
+            const auto got = exact::hopcroft_karp(
+                g, side, max_phases, initial, runtime::RuntimeConfig{threads});
+            const std::string what =
+                std::to_string(shape.m) + " edges, orientation " +
+                std::to_string(orientation) + ", " + std::to_string(threads) +
+                " threads, max_phases " + std::to_string(max_phases) +
+                (initial ? ", seeded" : "");
+            EXPECT_EQ(got.phases, want.phases) << what;
+            EXPECT_EQ(got.matching, want.matching) << what;
           }
         }
       }

@@ -525,7 +525,8 @@ class TraceReportTest(unittest.TestCase):
 
 
 class AppendHistoryTest(unittest.TestCase):
-    """append_bench_history.py folds trace_report docs into "segments"."""
+    """append_bench_history.py folds trace_report docs into "segments" and
+    repeated runs of one bench into a median, its MAD and a run count."""
 
     def test_trace_report_document_gets_segments_map(self):
         report = {
@@ -552,6 +553,51 @@ class AppendHistoryTest(unittest.TestCase):
         self.assertEqual(bench["segments"],
                          {"admission": 0.1, "solve": 0.4})
         self.assertEqual(bench["cells"], 2)
+
+
+    def test_repeated_runs_store_median_mad_and_runs(self):
+        def sweep(medians):
+            return {"schema_version": 1, "bench": "ci_t1",
+                    "results": [{"id": i, "wall_ms": {"median": m},
+                                 "skipped": False}
+                                for i, m in enumerate(medians)]}
+
+        def kernels(ms):
+            return {"schema_version": 1, "kind": "kernels",
+                    "bench": "micro_kernels",
+                    "results": [{"id": "blossom",
+                                 "wall_ms": {"median": ms, "min": ms},
+                                 "skipped": False}]}
+
+        # Totals 30, 10, 20, 100 ms: median 25, |deviations| 5, 15, 5,
+        # 75 -> MAD 10. One kernels document: runs 1, MAD 0.
+        runs = [[10, 20], [4, 6], [5, 15], [50, 50]]
+        with TempJson() as t:
+            hist = os.path.join(t.dir.name, "hist.json")
+            docs = [t.write(f"ci{i}.json", sweep(m))
+                    for i, m in enumerate(runs)]
+            code, out = run("append_bench_history.py", hist, *docs,
+                            t.write("k.json", kernels(2.5)),
+                            "--sha=abc123", "--date=2026-01-01")
+            self.assertEqual(code, 0, out)
+            with open(hist) as f:
+                benches = json.load(f)["entries"][0]["benches"]
+            self.assertEqual(benches["ci_t1"]["runs"], 4)
+            self.assertEqual(benches["ci_t1"]["cells"], 2)
+            self.assertEqual(benches["ci_t1"]["wall_ms_total"], 25)
+            self.assertEqual(benches["ci_t1"]["wall_ms_total_mad"], 10)
+            # p99 of each run is its larger cell: 20, 6, 15, 50 -> 17.5.
+            self.assertEqual(benches["ci_t1"]["latency_ms_p99"], 17.5)
+            self.assertEqual(benches["micro_kernels"]["runs"], 1)
+            self.assertEqual(benches["micro_kernels"]["wall_ms_total_mad"], 0)
+            self.assertEqual(benches["micro_kernels"]["kernels"],
+                             {"blossom": 2.5})
+
+            # Runs of one bench must cover the same cells.
+            code, out = run("append_bench_history.py", hist, docs[0],
+                            t.write("short.json", sweep([1])))
+            self.assertEqual(code, 1, out)
+            self.assertIn("has 1 cells", out)
 
 
 class LintInvariantsTest(unittest.TestCase):
