@@ -1,41 +1,39 @@
-// Micro-benchmarks for the library's hot kernels. Two sections:
+// Micro-benchmarks for the library's hot kernels: deterministic
+// median-of-K timings for the reduction's hot path over the `ci`
+// bipartite instance's classes (bench/hot_path.h) —
+//   tau-pairs       pairs_for_values over every class's value sets
+//   layered-build   every class pair through one LayeredGraphBuilder
+//   blossom         blossom_max_weight, weighted and max-cardinality,
+//                   on the stream workload's random-arrival T set
+// (their checksums equal the reference implementations', asserted by
+// tests/test_tau.cpp, tests/test_layered_graph.cpp and
+// tests/test_blossom.cpp), and for the layout primitives the immutable
+// data plane introduced —
+//   csr-neighbor-scan   (frozen CSR slot arrays, one full traversal)
+//   hk-bfs-bitset       (the word-parallel HK layering pass; its
+//      dist labels are checked against a serial BFS by
+//      tests/test_graph_view.cpp)
+//   arena-fork-scratch  vs  heap-fork-scratch
+//     (per-class fork scratch from a reset Arena vs fresh heap
+//      vectors every fork)
 //
-//  1. Kernel section (default; no external dependency): deterministic
-//     median-of-K timings for the reduction's hot path over the `ci`
-//     bipartite instance's classes (bench/hot_path.h) —
-//       tau-pairs       pairs_for_values over every class's value sets
-//       layered-build   every class pair through one LayeredGraphBuilder
-//       blossom         blossom_max_weight, weighted and max-cardinality,
-//                       on the stream workload's random-arrival T set
-//     (their checksums equal the reference implementations', asserted by
-//     tests/test_tau.cpp, tests/test_layered_graph.cpp and
-//     tests/test_blossom.cpp), and for the layout primitives the immutable
-//     data plane introduced —
-//       csr-neighbor-scan   (frozen CSR slot arrays, one full traversal)
-//       hk-bfs-bitset       (the word-parallel HK layering pass; its
-//          dist labels are checked against a serial BFS by
-//          tests/test_graph_view.cpp)
-//       arena-fork-scratch  vs  heap-fork-scratch
-//         (per-class fork scratch from a reset Arena vs fresh heap
-//          vectors every fork)
-//     `--json[=path]` writes a schema-versioned BENCH JSON document
-//     (kind "kernels") that scripts/append_bench_history.py folds into
-//     the committed bench trajectory — informational wall-ms, not a
-//     gate; the exact-counter gates live elsewhere.
-//
-//  2. google-benchmark suite (`--gbench [gbench flags...]`): the
-//     original BM_* solver loops (exact solvers, local-ratio feeding,
-//     layered-graph construction, single-pass pipeline). Compiled only
-//     when the build found Google Benchmark (WMATCH_HAVE_GBENCH);
-//     everything after --gbench is forwarded to the library verbatim.
+// Flags: `--threads=N` sizes the runtime pool (default 1) and
+// `--json[=path]` writes a schema-versioned BENCH JSON document (kind
+// "kernels", default BENCH_micro_kernels.json) that
+// scripts/append_bench_history.py folds into the committed bench
+// trajectory — informational wall-ms, not a gate; the exact-counter gates
+// live elsewhere. The paper's experiments are `wmatch_cli bench
+// --preset=eN`.
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <iomanip>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "bench_common.h"
 #include "core/layered_graph.h"
 #include "core/tau.h"
 #include "exact/blossom.h"
@@ -46,13 +44,61 @@
 #include "runtime/arena.h"
 #include "runtime/thread_pool.h"
 #include "util/bitset.h"
+#include "util/json.h"
 #include "util/rng.h"
+#include "util/table.h"
 
 namespace {
 
 using namespace wmatch;
 
 constexpr std::uint32_t kNoEdge = 0xffffffffu;
+
+struct Args {
+  std::size_t threads = 1;
+  bool json = false;
+  std::string json_path;
+};
+
+Args parse_args(int argc, char** argv) {
+  Args args;
+  for (int i = 1; i < argc; ++i) {
+    const std::string s = argv[i];
+    if (s.rfind("--threads=", 0) == 0) {
+      const std::string value = s.substr(10);
+      try {
+        if (value.empty() ||
+            value.find_first_not_of("0123456789") != std::string::npos) {
+          throw std::invalid_argument(value);
+        }
+        args.threads = static_cast<std::size_t>(std::stoul(value));
+      } catch (const std::exception&) {  // non-numeric or out of range
+        std::cerr << "error: --threads expects a non-negative integer, got '"
+                  << value << "'\n";
+        std::exit(2);
+      }
+    } else if (s == "--json") {
+      args.json = true;
+    } else if (s.rfind("--json=", 0) == 0) {
+      args.json = true;
+      args.json_path = s.substr(7);
+    } else {
+      std::cerr << "error: unknown flag '" << s
+                << "' (supported: --threads=N, --json[=path])\n";
+      std::exit(2);
+    }
+  }
+  return args;
+}
+
+/// Wall-clock milliseconds of one call.
+template <typename F>
+double time_ms(F&& f) {
+  const auto t0 = std::chrono::steady_clock::now();
+  f();
+  const auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::milli>(t1 - t0).count();
+}
 
 Graph make_weighted(std::size_t n, std::size_t m, std::uint64_t seed) {
   Rng rng(seed);
@@ -78,7 +124,7 @@ KernelResult run_kernel(const std::string& id, F&& body, int reps = 9) {
   times.reserve(static_cast<std::size_t>(reps));
   for (int i = 0; i < reps; ++i) {
     std::uint64_t sum = 0;
-    times.push_back(bench::time_ms([&] { sum = body(); }));
+    times.push_back(time_ms([&] { sum = body(); }));
     if (i == 0) {
       r.checksum = sum;
     } else if (sum != r.checksum) {
@@ -198,14 +244,14 @@ void write_kernels_json(std::ostream& os,
   os << " ]\n}\n";
 }
 
-int run_kernel_section(const bench::Args& args) {
-  bench::header(
-      "micro kernels / hot paths + data-plane layout",
-      "Tau-pair enumeration and layered-graph builds over the ci "
-      "bipartite instance's classes; Blossom on the stream workload's "
-      "random-arrival T set; a frozen-CSR scan; the word-parallel "
-      "HK BFS layering pass; arena-backed fork scratch vs fresh heap "
-      "vectors. Median of 9 reps, informational wall-ms.");
+int run_kernels(const Args& args) {
+  std::cout << "=== micro kernels / hot paths + data-plane layout ===\n"
+            << "Tau-pair enumeration and layered-graph builds over the ci "
+               "bipartite instance's classes; Blossom on the stream "
+               "workload's random-arrival T set; a frozen-CSR scan; the "
+               "word-parallel HK BFS layering pass; arena-backed fork "
+               "scratch vs fresh heap vectors. Median of 9 reps, "
+               "informational wall-ms.\n\n";
 
   const GraphView scan_view = freeze(make_weighted(4096, 32768, 1));
   BfsProblem bfs = make_bfs_problem(2048, 16384, 2);
@@ -254,129 +300,14 @@ int run_kernel_section(const bench::Args& args) {
           std::cout, std::cerr)) {
     return 1;
   }
-  bench::footer(
-      "tau-pairs and layered-build are the reduction's per-class "
-      "scaffolding (the black box is not in them); blossom is the "
-      "random-arrival algorithms' exact step; arena-fork-scratch "
-      "amortizes away heap-fork-scratch's per-fork allocations.");
+  std::cout << "\nExpected shape: tau-pairs and layered-build are the "
+               "reduction's per-class scaffolding (the black box is not in "
+               "them); blossom is the random-arrival algorithms' exact "
+               "step; arena-fork-scratch amortizes away heap-fork-scratch's "
+               "per-fork allocations.\n\n";
   return 0;
 }
 
 }  // namespace
 
-#ifdef WMATCH_HAVE_GBENCH
-
-#include <benchmark/benchmark.h>
-
-#include "baselines/local_ratio.h"
-#include "core/layered_graph.h"
-#include "core/rand_arr_matching.h"
-#include "core/tau.h"
-
-namespace {
-
-void BM_BlossomMaxWeight(benchmark::State& state) {
-  std::size_t n = static_cast<std::size_t>(state.range(0));
-  GraphView g = freeze(make_weighted(n, 4 * n, 1));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(exact::blossom_max_weight(g));
-  }
-  state.SetComplexityN(static_cast<benchmark::IterationCount>(n));
-}
-BENCHMARK(BM_BlossomMaxWeight)->Range(64, 1024)->Complexity();
-
-void BM_HopcroftKarp(benchmark::State& state) {
-  std::size_t n = static_cast<std::size_t>(state.range(0));
-  Rng rng(2);
-  GraphView g = freeze(gen::random_bipartite(n, n, 8 * n, rng));
-  std::vector<char> side(2 * n, 0);
-  for (std::size_t v = n; v < 2 * n; ++v) side[v] = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(exact::hopcroft_karp(g, side));
-  }
-}
-BENCHMARK(BM_HopcroftKarp)->Range(256, 4096);
-
-void BM_LocalRatioFeed(benchmark::State& state) {
-  std::size_t n = static_cast<std::size_t>(state.range(0));
-  Rng rng(3);
-  GraphView g = freeze(make_weighted(n, 16 * n, 3));
-  auto stream = gen::random_stream(g, rng);
-  for (auto _ : state) {
-    baselines::LocalRatio lr(n);
-    for (const Edge& e : stream) lr.feed(e);
-    benchmark::DoNotOptimize(lr.unwind());
-  }
-}
-BENCHMARK(BM_LocalRatioFeed)->Range(256, 4096);
-
-void BM_LayeredGraphBuild(benchmark::State& state) {
-  std::size_t n = static_cast<std::size_t>(state.range(0));
-  GraphView g = freeze(make_weighted(n, 8 * n, 4));
-  Matching m(n);
-  for (const Edge& e : g.edges()) {
-    if (!m.is_matched(e.u) && !m.is_matched(e.v)) m.add(e);
-  }
-  Rng rng(4);
-  core::Parametrization par = core::random_parametrization(n, rng);
-  core::CrossingEdges ce = core::crossing_edges(g, m, par);
-  core::TauConfig tcfg;
-  core::BucketedEdges buckets =
-      core::bucket_edges(ce, core::quantum(1024, tcfg), core::max_units(tcfg));
-  core::TauPair tau{{0, 4, 0}, {3, 3}};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::build_layered_graph(buckets, m, par, tau, n));
-  }
-}
-BENCHMARK(BM_LayeredGraphBuild)->Range(256, 4096);
-
-void BM_RandArrMatchingPipeline(benchmark::State& state) {
-  std::size_t n = static_cast<std::size_t>(state.range(0));
-  Rng rng(5);
-  GraphView g = freeze(make_weighted(n, 8 * n, 5));
-  auto stream = gen::random_stream(g, rng);
-  for (auto _ : state) {
-    Rng local(6);
-    benchmark::DoNotOptimize(
-        core::rand_arr_matching(stream, n, {}, local));
-  }
-}
-BENCHMARK(BM_RandArrMatchingPipeline)->Range(256, 2048);
-
-}  // namespace
-
-static int run_gbench(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
-
-#else  // !WMATCH_HAVE_GBENCH
-
-static int run_gbench(int, char**) {
-  std::cerr << "error: this build has no Google Benchmark "
-               "(--gbench unavailable); the kernel section needs no "
-               "flags\n";
-  return 1;
-}
-
-#endif  // WMATCH_HAVE_GBENCH
-
-int main(int argc, char** argv) {
-  // `--gbench` switches to the google-benchmark section, forwarding the
-  // remaining argv verbatim; everything else is the kernel section with
-  // the harness-common flags.
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--gbench") {
-      std::vector<char*> rest;
-      rest.push_back(argv[0]);
-      for (int j = i + 1; j < argc; ++j) rest.push_back(argv[j]);
-      return run_gbench(static_cast<int>(rest.size()), rest.data());
-    }
-  }
-  const wmatch::bench::Args args = wmatch::bench::parse_args(argc, argv);
-  return run_kernel_section(args);
-}
+int main(int argc, char** argv) { return run_kernels(parse_args(argc, argv)); }

@@ -665,13 +665,13 @@ int cmd_bench(Options& opt) {
   if (opt.with_optimum) spec.with_optimum = true;
   if (!opt.name.empty()) spec.name = opt.name;
 
-  const sweep::SweepRunner runner(spec);
-  std::cout << "sweep '" << spec.name << "': " << runner.grid_size()
-            << " cells (" << spec.solvers.size() << " solvers x "
+  std::cout << "sweep '" << spec.name
+            << "': " << sweep::expand_grid(spec).size() << " cells ("
+            << spec.solvers.size() << " solvers x "
             << spec.instances.size() << " instances x "
             << spec.epsilons.size() << " epsilons x " << spec.threads.size()
             << " thread counts x " << spec.seeds.size() << " seeds)\n\n";
-  const sweep::SweepResult result = runner.run();
+  const sweep::SweepResult result = sweep::run_sweep(spec);
   (opt.summary ? result.summary_table() : result.table()).print(std::cout);
 
   if (opt.json) {

@@ -184,8 +184,8 @@ SweepSpec ci_preset() {
 /// three-branch streaming algorithm on hard-planted-augs (|M| = n/4 =
 /// 2000 planted matchings, wing density beta), cardinality ratios
 /// against the planted optimum (no Blossom run: the optimum is known by
-/// construction). The bespoke bench_e6 binary wraps this preset and adds
-/// the lemma's structural (beta^2/32)|M| witness section on top.
+/// construction). The lemma's structural (beta^2/32)|M| witness is
+/// asserted by ThreeAugRecovery.MeetsLemmaGuarantee.
 SweepSpec e6_preset() {
   SweepSpec s;
   s.name = "E6";
@@ -231,10 +231,9 @@ SweepSpec e7_preset() {
 /// perfect matching can only be improved through cycles, so the layered
 /// repeated-cycle walk is what separates the reductions from greedy here.
 /// Family sizes map k cycles onto n = 4k vertices; the planted optimum
-/// makes ratios exact without a Blossom run. The bespoke bench_e8 binary
-/// wraps this preset and adds the path-only ablation
-/// (ReductionConfig::enable_cycles = false) on top — that knob is an
-/// ablation switch, deliberately not a SolverSpec axis.
+/// makes ratios exact without a Blossom run. The path-only ablation
+/// (ReductionConfig::enable_cycles = false, deliberately not a SolverSpec
+/// axis) is asserted by MainAlg.CycleAblationCannotImprovePerfectMatching.
 SweepSpec e8_preset() {
   SweepSpec s;
   s.name = "E8";
@@ -256,9 +255,9 @@ SweepSpec e8_preset() {
 /// solvers whose augmentation branches rely on tau filtering
 /// (rand-arrival, the reductions) vs greedy/local-ratio on uniform,
 /// exponential, and polynomial weights (the heavier the tail, the more a
-/// weight-oblivious augmentation can lose). The bespoke bench_e9 binary
-/// wraps this preset and adds the direct Wgt-Aug-Paths
-/// filtered-vs-unfiltered ablation (WgtAugPathsConfig::filtering = false).
+/// weight-oblivious augmentation can lose). The direct Wgt-Aug-Paths
+/// ablation (WgtAugPathsConfig::filtering = false) is asserted by
+/// WgtAugPaths.AblationCanLoseWeight.
 SweepSpec e9_preset() {
   SweepSpec s;
   s.name = "E9";
@@ -283,10 +282,10 @@ SweepSpec e9_preset() {
 /// hard-long-path family plants augmentations of length 2L+1, so the
 /// reductions (whose layered graphs walk up to max_layers layers) recover
 /// the planted optimum while greedy strands every unit. The family plants
-/// its optimum, so ratios are exact without a Blossom run. The bespoke
-/// bench_e10 binary wraps this preset and adds the direct max_layers
-/// ablation (TauConfig::max_layers is a config knob, deliberately not a
-/// SolverSpec axis).
+/// its optimum, so ratios are exact without a Blossom run. The direct
+/// max_layers ablation (TauConfig::max_layers is a config knob,
+/// deliberately not a SolverSpec axis) is asserted by
+/// MainAlg.LongAugmentationsNeedDeepLayers.
 SweepSpec e10_preset() {
   SweepSpec s;
   s.name = "E10";
@@ -308,9 +307,8 @@ SweepSpec e10_preset() {
 /// baseline is a 1/2-approximation on any order, but its stack S stays
 /// O(n polylog n) only on random-order streams. Each instance family
 /// appears twice — random and adversarial (increasing-weight) order — so
-/// the stack_size column shows the blow-up directly. The bespoke
-/// bench_e11 binary wraps this preset and adds the normalized growth
-/// columns (|S|/(n log n), |S|/m) over a larger size ladder.
+/// the stack_size column shows the blow-up directly;
+/// LocalRatio.StackSmallOnRandomOrder asserts the random-order bound.
 SweepSpec e11_preset() {
   SweepSpec s;
   s.name = "E11";
@@ -336,10 +334,11 @@ SweepSpec e11_preset() {
 /// sensitivity through the registry: Rand-Arr-Matching (with greedy and
 /// local-ratio as order-robust baselines) on the E12 instance family
 /// (n = 800, m = 6400, exponential weights) streamed in random,
-/// clustered, and adversarial increasing-weight order. The bespoke
-/// bench_e12 binary wraps this preset and adds the bounded local-shuffle
-/// window ladder (gen::locally_shuffled_stream is a stream transform,
-/// deliberately not a GenSpec axis).
+/// clustered, and adversarial increasing-weight order. The bounded
+/// local-shuffle transform (gen::locally_shuffled_stream, deliberately not
+/// a GenSpec axis) is covered by the StreamOrders tests
+/// LargerWindowsIncreaseDisplacement and
+/// RandArrMatchingDegradesGracefullyOffRandomOrder.
 SweepSpec e12_preset() {
   SweepSpec s;
   s.name = "E12";
@@ -364,9 +363,8 @@ SweepSpec e12_preset() {
 /// E13 / DESIGN.md §3.3 — the epsilon ladder of the substituted
 /// discretization: the multipass reduction across eps on the E13 family
 /// (n = 400, m = 2400, exponential weights), ratio vs the exact optimum.
-/// The bespoke bench_e13 binary wraps this preset and adds the direct
-/// granularity x tau-pair-budget ablation grid (TauConfig::granularity /
-/// max_pairs are config knobs, deliberately not SolverSpec axes).
+/// TauConfig::granularity and max_pairs are config knobs, deliberately not
+/// SolverSpec axes, so their trade-off grid is not part of the preset.
 SweepSpec e13_preset() {
   SweepSpec s;
   s.name = "E13";

@@ -313,11 +313,7 @@ void SweepResult::print_bench_json(std::ostream& os) const {
     util::write_json_string(os, api::to_string(g.order));
     os << '}';
   }
-  os << "]},";
-
-  table().print_json_fragment(os);
-
-  os << ",\"results\":[";
+  os << "]},\"results\":[";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const SweepRow& r = rows[i];
     if (i) os << ',';

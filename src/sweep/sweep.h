@@ -3,7 +3,7 @@
 //
 // A SweepSpec names a cartesian grid — solver names x GenSpec instance
 // families x epsilon x threads x seed — plus repetition/warmup counts.
-// SweepRunner expands the grid, drives every cell through api::Registry
+// run_sweep expands the grid, drives every cell through api::Registry
 // against a cached Instance, and aggregates the CostReports: exact model
 // counters (passes / rounds / memory words / black-box calls) are taken
 // verbatim (they are deterministic functions of the seed and identical
@@ -11,8 +11,7 @@
 // as median/min over the repetitions.
 //
 // Output is a Table (per-cell or seed-aggregated summary) and a
-// BENCH-compatible, schema-versioned JSON document (BENCH_<name>.json):
-// the legacy {"bench","columns","rows"} keys for trend tooling plus a
+// schema-versioned BENCH JSON document (BENCH_<name>.json) whose
 // structured "results" array the CI perf-regression gate diffs against
 // bench/baselines/ci_baseline.json.
 #pragma once
@@ -111,9 +110,9 @@ struct SweepResult {
   /// Seed axis aggregated: one row per (solver, instance, epsilon,
   /// threads) with ratio mean +- ci95 and median-of-medians wall ms.
   Table summary_table() const;
-  /// BENCH_<name>.json: {"bench","schema_version","spec","columns",
-  /// "rows","results"}. Counters in "results" are bit-identical across
-  /// thread counts at equal seed.
+  /// BENCH_<name>.json: {"bench","schema_version","spec","results"}.
+  /// Counters in "results" are bit-identical across thread counts at
+  /// equal seed.
   void print_bench_json(std::ostream& os) const;
 };
 
@@ -121,16 +120,5 @@ struct SweepResult {
 /// their Blossom optima) are computed once per (family, seed) and shared
 /// across solvers/epsilons/threads.
 SweepResult run_sweep(const SweepSpec& spec);
-
-class SweepRunner {
- public:
-  explicit SweepRunner(SweepSpec spec) : spec_(std::move(spec)) {}
-
-  std::size_t grid_size() const { return expand_grid(spec_).size(); }
-  SweepResult run() const { return run_sweep(spec_); }
-
- private:
-  SweepSpec spec_;
-};
 
 }  // namespace wmatch::sweep

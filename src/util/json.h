@@ -1,6 +1,6 @@
-// Minimal JSON emission helpers shared by Table::print_json, the api
-// layer's SolveResult reports and the BENCH document writers. Only
-// writing is supported — parsing lives in util/json_parse.h.
+// Minimal JSON emission helpers shared by the api layer's SolveResult
+// reports and the BENCH document writers. Only writing is supported —
+// parsing lives in util/json_parse.h.
 #pragma once
 
 #include <cmath>
@@ -57,7 +57,7 @@ inline void write_json_string(std::ostream& os, std::string_view s) {
 }
 
 /// The one write path for BENCH documents (wmatch_cli bench / batch /
-/// loadgen and the bench_* binaries): streams `write(os)` into `path`, or
+/// loadgen and bench_micro_kernels): streams `write(os)` into `path`, or
 /// BENCH_<id>.json when `path` is empty, then reports "wrote PATH" on
 /// `log`. A failed write reports "error: could not write PATH" on `err`
 /// and returns false, so the caller can exit non-zero.

@@ -1,5 +1,5 @@
-// Plain-text table printer used by the benchmark harness so every bench
-// binary prints its rows in the same aligned format (and can also dump CSV).
+// Plain-text table printer: the sweep engine and bench_micro_kernels print
+// their rows in the same aligned format.
 #pragma once
 
 #include <iosfwd>
@@ -21,17 +21,6 @@ class Table {
   static std::string fmt(std::size_t x);
 
   void print(std::ostream& os) const;
-  void print_csv(std::ostream& os) const;
-
-  /// Machine-readable dump: {"bench": id, "columns": [...], "rows":
-  /// [[...], ...]} with all cells as strings. Used by the bench harness's
-  /// --json flag so perf trajectories can be tracked across PRs.
-  void print_json(std::ostream& os, const std::string& id) const;
-
-  /// The `"columns":[...],"rows":[...]` body of print_json without the
-  /// enclosing object, for callers embedding the table in a larger JSON
-  /// document (sweep::SweepResult::print_bench_json).
-  void print_json_fragment(std::ostream& os) const;
 
   std::size_t rows() const { return rows_.size(); }
   std::size_t columns() const { return header_.size(); }

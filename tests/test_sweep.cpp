@@ -1,7 +1,7 @@
-// Tests for the sweep subsystem (ISSUE 3): grid expansion, counter
-// determinism across thread counts at fixed seed, hard-instance GenSpec
-// round-trips through generate_instance, skip handling for incompatible
-// cells, and the BENCH JSON emission contract.
+// Tests for the sweep subsystem: grid expansion, counter determinism
+// across thread counts at fixed seed, hard-instance GenSpec round-trips
+// through generate_instance, skip handling for incompatible cells, the
+// BENCH JSON emission contract, and a smoke run of every preset.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -38,7 +38,6 @@ TEST(SweepGrid, ExpansionCountIsProductOfAxes) {
   spec.threads = {1, 2};
   // 3 solvers x 2 instances x 3 epsilons x 2 threads x 2 seeds.
   EXPECT_EQ(sweep::expand_grid(spec).size(), 3u * 2u * 3u * 2u * 2u);
-  EXPECT_EQ(sweep::SweepRunner(spec).grid_size(), 72u);
 }
 
 TEST(SweepGrid, CellsCarryResolvedAxisValues) {
@@ -64,7 +63,7 @@ TEST(SweepGrid, EmptyAxesThrow) {
   EXPECT_THROW(sweep::expand_grid(spec), std::invalid_argument);
 }
 
-TEST(SweepRunner, UnknownSolverThrows) {
+TEST(RunSweep, UnknownSolverThrows) {
   sweep::SweepSpec spec = tiny_spec();
   spec.solvers = {"no-such-solver"};
   EXPECT_THROW(sweep::run_sweep(spec), std::invalid_argument);
@@ -75,7 +74,7 @@ TEST(SweepRunner, UnknownSolverThrows) {
 // differ. Covers the parallelized reduction solvers (per-class loop +
 // Hopcroft-Karp layers) at 1 / 2 / 8 threads, including the now-metered
 // reduction-hk memory column.
-TEST(SweepRunner, CountersAreDeterministicAcrossThreadCounts) {
+TEST(RunSweep, CountersAreDeterministicAcrossThreadCounts) {
   sweep::SweepSpec spec = tiny_spec();
   spec.solvers = {"greedy", "rand-arrival", "reduction-hk", "reduction-mpc",
                   "reduction-exact"};
@@ -115,7 +114,7 @@ TEST(SweepRunner, CountersAreDeterministicAcrossThreadCounts) {
   }
 }
 
-TEST(SweepRunner, RepetitionsKeepCountersAndAggregateWall) {
+TEST(RunSweep, RepetitionsKeepCountersAndAggregateWall) {
   sweep::SweepSpec spec = tiny_spec();
   spec.solvers = {"local-ratio"};
   spec.seeds = {7};
@@ -137,7 +136,7 @@ TEST(SweepRunner, RepetitionsKeepCountersAndAggregateWall) {
   }
 }
 
-TEST(SweepRunner, BipartiteOnlySolverIsSkippedOnGeneralGraphs) {
+TEST(RunSweep, BipartiteOnlySolverIsSkippedOnGeneralGraphs) {
   sweep::SweepSpec spec;
   spec.solvers = {"exact-hk"};
   api::GenSpec er;
@@ -159,7 +158,7 @@ TEST(SweepRunner, BipartiteOnlySolverIsSkippedOnGeneralGraphs) {
   EXPECT_GE(r.summary_table().rows(), 2u);
 }
 
-TEST(SweepJson, EmitsSchemaVersionCountersAndTableKeys) {
+TEST(SweepJson, EmitsSchemaVersionAndCountersWithoutTableKeys) {
   sweep::SweepSpec spec = tiny_spec();
   spec.solvers = {"greedy"};
   spec.seeds = {7};
@@ -169,8 +168,10 @@ TEST(SweepJson, EmitsSchemaVersionCountersAndTableKeys) {
   const std::string json = os.str();
   EXPECT_NE(json.find("\"bench\":\"tiny\""), std::string::npos);
   EXPECT_NE(json.find("\"schema_version\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"columns\":"), std::string::npos);
-  EXPECT_NE(json.find("\"rows\":"), std::string::npos);
+  // Sweep, batch and serve BENCH documents share one shape: the structured
+  // "results" array, with no printed-table "columns"/"rows" copy.
+  EXPECT_EQ(json.find("\"columns\":"), std::string::npos);
+  EXPECT_EQ(json.find("\"rows\":"), std::string::npos);
   EXPECT_NE(json.find("\"results\":"), std::string::npos);
   EXPECT_NE(json.find("\"counters\":{\"passes\":1"), std::string::npos);
   EXPECT_NE(json.find("\"algorithm\":\"greedy\""), std::string::npos);
@@ -255,6 +256,29 @@ TEST(Presets, KnownNamesResolveAndUnknownThrows) {
   }
   EXPECT_FALSE(sweep::is_known_preset("e99"));
   EXPECT_THROW(sweep::preset("e99"), std::invalid_argument);
+}
+
+// Smoke run of every preset, cut to its first seed and first instance
+// family: `wmatch_cli bench --preset=NAME` is the only experiment runner,
+// so this is the check that each grid still runs end to end and that no
+// cell falls outside [registered guarantee, 1].
+TEST(Presets, EveryPresetRunsWithinGuaranteeOnItsFirstCell) {
+  const api::Registry& registry = api::Registry::instance();
+  for (const std::string& name : sweep::preset_names()) {
+    sweep::SweepSpec spec = sweep::preset(name);
+    spec.seeds = {spec.seeds.front()};
+    spec.instances = {spec.instances.front()};
+    spec.jobs = 0;
+    sweep::SweepResult r;
+    ASSERT_NO_THROW(r = sweep::run_sweep(spec)) << name;
+    EXPECT_EQ(r.rows.size(), sweep::expand_grid(spec).size()) << name;
+    for (const sweep::SweepRow& row : r.rows) {
+      if (!row.has_ratio()) continue;
+      EXPECT_LE(row.ratio(), 1.0) << name << ' ' << row.cell.solver;
+      EXPECT_GE(row.ratio(), registry.info(row.cell.solver).guarantee)
+          << name << ' ' << row.cell.solver << " eps=" << row.cell.epsilon;
+    }
+  }
 }
 
 TEST(Presets, CiPresetCoversAdversarialFamiliesAndBothModels) {
