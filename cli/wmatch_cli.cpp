@@ -12,6 +12,7 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -19,8 +20,6 @@
 #include <vector>
 
 #include "api/api.h"
-#include "exact/blossom.h"
-#include "graph/io.h"
 #include "net/net.h"
 #include "obs/obs.h"
 #include "service/service.h"
@@ -569,63 +568,55 @@ int cmd_list(Options& opt) {
   return 0;
 }
 
+/// A batch of one instance: one job per --algo on one sequential
+/// Scheduler, so the instance is built once and every line is the same
+/// JobResult `batch` and `serve` report for that job.
 int cmd_solve(Options& opt) {
   if (opt.algos.empty()) usage_error("solve requires --algo=NAME[,NAME...]");
   if (opt.delta) opt.spec.delta = *opt.delta;
 
-  api::Instance inst;
-  if (!opt.input_path.empty()) {
+  service::JobSpec job;
+  if (opt.input_path.empty()) {
+    job.source = opt.gen;
+  } else {
+    job.source = service::FileSource{opt.input_path, opt.gen.order};
+  }
+  job.spec = opt.spec;
+  job.with_optimum = opt.with_optimum;
+
+  service::Scheduler scheduler;
+  std::shared_ptr<const service::CachedInstance> entry;
+  try {
+    entry = scheduler.instance(job);
+  } catch (const std::exception& e) {
     // An unreadable or malformed input file is a usage error like any
     // other bad flag value: exit 2 with the loader's diagnostic (path or
     // line number) instead of surfacing as a generic runtime failure.
-    try {
-      inst = api::make_instance(io::load_graph(opt.input_path), opt.gen.order,
-                                api::stream_seed_for(opt.gen.seed),
-                                opt.input_path);
-    } catch (const std::exception& e) {
-      usage_error("--input=" + opt.input_path + ": " + e.what());
+    if (opt.input_path.empty()) throw;
+    usage_error("--input=" + opt.input_path + ": " + e.what());
+  }
+
+  std::vector<service::JobSpec> jobs;
+  for (const std::string& algo : opt.algos) {
+    job.solver = algo;
+    jobs.push_back(job);
+  }
+  const service::BatchResult result = scheduler.run(jobs);
+  if (opt.json) {
+    for (const service::JobResult& r : result.results) {
+      service::print_job_json(std::cout, r);
     }
   } else {
-    inst = api::generate_instance(opt.gen);
-  }
-
-  // Each solver is compared against the optimum of its registered
-  // objective: weight solvers against Blossom's max weight, cardinality
-  // solvers against Blossom's max cardinality. Blossom dominates the wall
-  // clock on large instances, so each optimum is computed only if some
-  // requested solver has that objective.
-  double opt_weight = -1.0, opt_size = -1.0;
-  if (opt.with_optimum) {
-    for (const std::string& algo : opt.algos) {
-      const bool cardinality =
-          api::Registry::instance().info(algo).objective == "cardinality";
-      if (cardinality && opt_size < 0.0) {
-        opt_size = static_cast<double>(
-            exact::blossom_max_weight(inst.graph, true).size());
-      } else if (!cardinality && opt_weight < 0.0) {
-        opt_weight = static_cast<double>(
-            exact::blossom_max_weight(inst.graph).weight());
-      }
-    }
-  }
-
-  std::vector<api::SolveResult> results;
-  for (const std::string& algo : opt.algos) {
-    api::SolveResult r = api::Solver(algo).solve(inst, opt.spec);
-    if (opt.json) {
-      const bool cardinality =
-          api::Registry::instance().info(algo).objective == "cardinality";
-      api::print_json(std::cout, r, inst, opt.spec,
-                      cardinality ? opt_size : opt_weight);
-    }
-    results.push_back(std::move(r));
-  }
-  if (!opt.json) {
+    const api::Instance& inst = entry->instance();
     std::cout << "instance: " << inst.name << "  n=" << inst.num_vertices()
               << " m=" << inst.num_edges()
               << (inst.is_bipartite() ? " (bipartite)" : "") << "  seed="
-              << opt.gen.seed << "\n\n";
-    api::result_table(results, opt_weight, opt_size).print(std::cout);
+              << opt.spec.seed << "\n\n";
+    result.table().print(std::cout);
+  }
+  if (result.failed() > 0) {
+    std::cerr << "error: " << result.failed() << " job(s) failed\n";
+    return 1;
   }
   return 0;
 }

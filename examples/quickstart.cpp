@@ -1,15 +1,16 @@
 // Quickstart: one instance, the paper's two headline algorithms, and the
-// exact optimum — all through the unified solver facade.
+// exact optimum — submitted as one batch to the service Scheduler.
 //
 //   $ ./example_quickstart
 //
-// Demonstrates: api::generate_instance (graph + random-order stream in one
-// object), api::Solver (registry lookup by name), and the normalized
-// CostReport (the "passes" column is the streaming model cost, identical
-// in meaning across every backend).
+// Demonstrates: api::GenSpec (graph + random-order stream in one
+// declarative source), service::JobSpec (registry solver name + spec),
+// service::Scheduler::run (the instance is generated once and shared by
+// every job), and the normalized CostReport (the "passes" column is the
+// streaming model cost, identical in meaning across every backend).
 #include <iostream>
 
-#include "api/api.h"
+#include "service/service.h"
 
 int main() {
   using namespace wmatch;
@@ -21,25 +22,28 @@ int main() {
   gen.m = 1200;
   gen.weights = gen::WeightDist::kExponential;
   gen.seed = 2026;
-  api::Instance inst = api::generate_instance(gen);
 
-  api::SolverSpec spec;
-  spec.epsilon = 0.1;
-  spec.seed = gen.seed;
+  service::JobSpec job;
+  job.source = gen;
+  job.spec.epsilon = 0.1;
+  job.spec.seed = gen.seed;
+  job.with_optimum = true;  // ratio column against Blossom's optimum
 
   // Ground truth, single pass (Theorem 1.1), multipass (Theorem 1.2) —
-  // the same call for each.
-  std::vector<api::SolveResult> results;
+  // the same job for each, only the solver name differs.
+  std::vector<service::JobSpec> jobs;
   for (const char* algo : {"exact-blossom", "rand-arrival", "reduction-hk"}) {
-    results.push_back(api::Solver(algo).solve(inst, spec));
+    job.solver = algo;
+    jobs.push_back(job);
   }
 
-  const double optimum = static_cast<double>(results[0].matching.weight());
-  api::result_table(results, optimum).print(std::cout);
+  service::Scheduler scheduler;
+  const service::BatchResult batch = scheduler.run(jobs);
+  batch.table().print(std::cout);
   std::cout << "\nrand-arrival stored "
-            << results[1].cost.memory_peak_words
+            << batch.results[1].cost.memory_peak_words
             << " words in its single pass; reduction-hk consumed "
-            << results[2].cost.passes << " streaming passes ("
-            << results[2].cost.bb_invocations << " black-box calls).\n";
-  return 0;
+            << batch.results[2].cost.passes << " streaming passes ("
+            << batch.results[2].cost.bb_invocations << " black-box calls).\n";
+  return batch.failed() == 0 ? 0 : 1;
 }

@@ -6,6 +6,7 @@
 #include <iostream>
 
 #include "api/api.h"
+#include "util/table.h"
 
 int main() {
   using namespace wmatch;

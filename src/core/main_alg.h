@@ -31,7 +31,9 @@ struct ReductionConfig {
   double class_base = 2.0;          ///< geometric ladder base
   std::size_t max_classes = 48;     ///< ladder length cap
   std::size_t max_iterations = 0;   ///< 0 selects ceil(8/epsilon)
-  bool enable_cycles = true;        ///< ablation toggle (bench E8)
+  /// Ablation toggle; MainAlg.CycleAblationCannotImprovePerfectMatching
+  /// asserts the e8 preset's claim with it off.
+  bool enable_cycles = true;
   /// Random bipartitions per class per round (recall vs work; see
   /// SingleClassOptions::parametrizations).
   std::size_t parametrizations = 1;

@@ -7,8 +7,10 @@
 // lemma's proof: decompose M △ M* into alternating components, delete
 // every L-th M*-edge (L = ceil(4/eps)) for the best of L offsets, then
 // prune light edges and pieces violating the gain ratio. It exists to
-// *validate* the structural theorem empirically (tests + bench E7); the
-// actual algorithms never see M*.
+// *validate* the structural theorem empirically
+// (ShortAugs.MeetsLemmaGainBound and ShortAugs.PiecesAreShortAndSound; the
+// e7 preset sweeps the reductions it explains); the actual algorithms
+// never see M*.
 #pragma once
 
 #include <vector>

@@ -46,11 +46,12 @@ struct SingleClassOptions {
   /// probability 2^-|C|; repetitions trade black-box work for per-round
   /// recall (the paper achieves the same by iterating Theorem 4.8).
   std::size_t parametrizations = 1;
-  /// Ablation toggle (bench E8). When false, only *classic* augmenting
-  /// paths are applied: no cycles, and no paths that remove matched edges
-  /// off the path (in weighted semantics such paths are cycle-equivalent —
-  /// they can improve a perfect matching, which is exactly the capability
-  /// the ablation is meant to remove).
+  /// Ablation toggle (MainAlg.CycleAblationCannotImprovePerfectMatching
+  /// asserts the e8 preset's claim with it off). When false, only
+  /// *classic* augmenting paths are applied: no cycles, and no paths that
+  /// remove matched edges off the path (in weighted semantics such paths
+  /// are cycle-equivalent — they can improve a perfect matching, which is
+  /// exactly the capability the ablation is meant to remove).
   bool enable_cycles = true;
   /// Host-parallelism knob for the layered-graph builds.
   runtime::RuntimeConfig runtime;

@@ -30,9 +30,10 @@ namespace wmatch::core {
 struct WgtAugPathsConfig {
   double alpha = 0.02;  ///< slack parameter of the filtering thresholds
   double beta = 0.1;    ///< Unw-3-Aug-Paths recovery parameter
-  /// Ablation toggle (bench E9): when false, edges are forwarded to the
-  /// per-class augmenters without the weight filtering of Lines 9-15, so
-  /// unweighted augmenting paths may lose weight when applied.
+  /// Ablation toggle (WgtAugPaths.AblationCanLoseWeight, next to the e9
+  /// preset): when false, edges are forwarded to the per-class augmenters
+  /// without the weight filtering of Lines 9-15, so unweighted augmenting
+  /// paths may lose weight when applied.
   bool filtering = true;
 };
 
@@ -52,9 +53,10 @@ class WgtAugPaths {
   Matching finalize_excess() const;
 
   /// M2 only: M0 augmented by the recovered 3-augmentations. Exposed for
-  /// the filtering ablation (bench E9): finalize() can never drop below
-  /// w(M0) because M1 >= M0 by construction, so the damage done by
-  /// unfiltered augmentations is only visible on this branch.
+  /// the filtering ablation (WgtAugPaths.AblationCanLoseWeight):
+  /// finalize() can never drop below w(M0) because M1 >= M0 by
+  /// construction, so the damage done by unfiltered augmentations is only
+  /// visible on this branch.
   Matching finalize_augmented() const;
 
   /// Total edges stored across all per-class support sets plus the

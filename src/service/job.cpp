@@ -1,12 +1,11 @@
 #include "service/job.h"
 
-#include <cmath>
 #include <fstream>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/json.h"
-#include "util/require.h"
 
 namespace wmatch::service {
 
@@ -14,10 +13,13 @@ namespace {
 
 /// FNV-1a over the file bytes: cheap, stable, and keyed on content so two
 /// paths to the same graph share one cache entry and an edited file never
-/// serves a stale instance in a long `serve` session.
+/// serves a stale instance in a long `serve` session. Hashing runs before
+/// the load, so an unreadable file throws the message io::load_graph would.
 std::uint64_t hash_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
-  WMATCH_REQUIRE(is.good(), "cannot open '" + path + "' for reading");
+  if (!is.good()) {
+    throw std::invalid_argument("cannot open '" + path + "' for reading");
+  }
   std::uint64_t h = 0xcbf29ce484222325ULL;
   char buf[4096];
   while (is.read(buf, sizeof(buf)) || is.gcount() > 0) {
@@ -29,6 +31,22 @@ std::uint64_t hash_file(const std::string& path) {
     if (!is) break;
   }
   return h;
+}
+
+/// ,"wall_ms":{"median":...,"min":...},"stats":{...} — the closing keys
+/// of both the per-job line and a BENCH results entry.
+void write_wall_and_stats(std::ostream& os, const JobResult& r) {
+  os << ",\"wall_ms\":{\"median\":" << util::json_number(r.wall_ms_median)
+     << ",\"min\":" << util::json_number(r.wall_ms_min) << '}';
+  os << ",\"stats\":{";
+  bool first = true;
+  for (const auto& [name, value] : r.stats) {
+    if (!first) os << ',';
+    first = false;
+    util::write_json_string(os, name);
+    os << ':' << util::json_number(value);
+  }
+  os << '}';
 }
 
 }  // namespace
@@ -94,17 +112,24 @@ void print_job_json(std::ostream& os, const JobResult& r) {
        << ",\"ratio\":" << util::json_number(r.ratio());
   }
   os << '}';
-  os << ",\"wall_ms\":{\"median\":" << util::json_number(r.wall_ms_median)
-     << ",\"min\":" << util::json_number(r.wall_ms_min) << '}';
-  os << ",\"stats\":{";
-  bool first = true;
-  for (const auto& [name, value] : r.stats) {
-    if (!first) os << ',';
-    first = false;
-    util::write_json_string(os, name);
-    os << ':' << util::json_number(value);
+  write_wall_and_stats(os, r);
+  os << "}\n";
+}
+
+void write_bench_result_tail(std::ostream& os, const JobResult& r) {
+  const api::CostReport& c = r.cost;
+  os << ",\"counters\":{\"passes\":" << c.passes << ",\"rounds\":" << c.rounds
+     << ",\"memory_peak_words\":" << c.memory_peak_words
+     << ",\"communication_words\":" << c.communication_words
+     << ",\"bb_invocations\":" << c.bb_invocations
+     << ",\"bb_max_invocation_cost\":" << c.bb_max_invocation_cost
+     << ",\"matching_size\":" << r.matching_size
+     << ",\"matching_weight\":" << r.matching_weight << '}';
+  if (r.has_ratio()) {
+    os << ",\"optimum\":" << util::json_number(r.optimum)
+       << ",\"ratio\":" << util::json_number(r.ratio());
   }
-  os << "}}\n";
+  write_wall_and_stats(os, r);
 }
 
 }  // namespace wmatch::service

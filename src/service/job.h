@@ -21,6 +21,12 @@
 
 namespace wmatch::service {
 
+/// Schema version of every BENCH JSON document (sweep and batch); bumped
+/// whenever the layout changes incompatibly. The regression gate
+/// (scripts/check_bench_regression.py) refuses to compare documents with
+/// mismatched versions.
+inline constexpr int kBenchSchemaVersion = 1;
+
 /// Load a DIMACS-flavoured graph as the instance, streamed in `order`.
 /// The random order draws from stream_seed_for(job seed), mirroring
 /// `wmatch_cli solve --input`.
@@ -113,8 +119,14 @@ struct JobResult {
 /// Writes one self-contained JSON object (single line, '\n'-terminated):
 /// {"id":...,"algorithm":...,"instance":{...},"cache_hit":...,
 ///  "cost":{...},"matching":{...},"wall_ms":{...},"stats":{...}} — the
-/// `wmatch_cli batch` / `serve` per-job output contract. Failed jobs emit
-/// {"id":...,"error":...} instead.
+/// `wmatch_cli solve --json` / `batch` / `serve` per-job output contract.
+/// Failed jobs emit {"id":...,"error":...} instead.
 void print_job_json(std::ostream& os, const JobResult& r);
+
+/// The tail every BENCH "results" entry of a job that ran (ok and not
+/// skipped) ends with, after its identity keys:
+/// ,"counters":{...}[,"optimum":...,"ratio":...],"wall_ms":{...},"stats":{...}
+/// Shared by the sweep and batch documents.
+void write_bench_result_tail(std::ostream& os, const JobResult& r);
 
 }  // namespace wmatch::service

@@ -43,6 +43,19 @@ ServiceMetrics& service_metrics() {
 Scheduler::Scheduler(SchedulerConfig config)
     : config_(config), cache_(config.cache_capacity) {}
 
+std::shared_ptr<const CachedInstance> Scheduler::instance(const JobSpec& job,
+                                                         bool* hit) {
+  return cache_.get_or_build(
+      cache_key(job),
+      [&job]() -> api::Instance {
+        if (job.is_generated()) return api::generate_instance(job.gen());
+        const FileSource& f = job.file();
+        return api::make_instance(io::load_graph(f.path), f.order,
+                                  api::stream_seed_for(job.spec.seed), f.path);
+      },
+      hit);
+}
+
 JobResult Scheduler::run_job(const JobSpec& job, std::size_t index,
                              double queue_wait_ms) {
   obs::Span job_span("service.job", static_cast<std::int64_t>(index));
@@ -67,18 +80,8 @@ JobResult Scheduler::run_job(const JobSpec& job, std::size_t index,
     const api::Registry& registry = api::Registry::instance();
     const api::SolverInfo& info = registry.info(job.solver);  // throws if unknown
 
-    bool hit = false;
-    const std::shared_ptr<const CachedInstance> entry = cache_.get_or_build(
-        cache_key(job),
-        [&job]() -> api::Instance {
-          if (job.is_generated()) return api::generate_instance(job.gen());
-          const FileSource& f = job.file();
-          return api::make_instance(io::load_graph(f.path), f.order,
-                                    api::stream_seed_for(job.spec.seed),
-                                    f.path);
-        },
-        &hit);
-    r.cache_hit = hit;
+    const std::shared_ptr<const CachedInstance> entry =
+        instance(job, &r.cache_hit);
     const api::Instance& inst = entry->instance();
     r.instance_name = inst.name;
     r.n = inst.num_vertices();
@@ -239,27 +242,42 @@ double BatchResult::latency_ms_max() const {
 }
 
 Table BatchResult::table() const {
-  Table t({"id", "solver", "instance", "n", "m", "size", "weight", "passes",
-           "rounds", "mem words", "bb calls", "hit", "wall ms"});
+  const bool with_ratio =
+      std::any_of(results.begin(), results.end(),
+                  [](const JobResult& r) { return r.has_ratio(); });
+  std::vector<std::string> header = {
+      "id",     "solver", "instance",  "n",        "m",   "size", "weight",
+      "passes", "rounds", "mem words", "bb calls", "hit", "wall ms"};
+  if (with_ratio) header.insert(header.begin() + 7, "ratio");
+  Table t(header);
   for (const JobResult& r : results) {
     if (!r.ok()) {
-      t.add_row({r.id, r.solver, "ERROR: " + r.error, "-", "-", "-", "-", "-",
-                 "-", "-", "-", "-", "-"});
+      std::vector<std::string> row = {r.id, r.solver, "ERROR: " + r.error};
+      row.resize(t.columns(), "-");
+      t.add_row(std::move(row));
       continue;
     }
+    std::vector<std::string> row = {r.id, r.solver, r.instance_name,
+                                    Table::fmt(r.n), Table::fmt(r.m)};
     if (r.skipped) {
-      t.add_row({r.id, r.solver, r.instance_name, Table::fmt(r.n),
-                 Table::fmt(r.m), "skipped", "-", "-", "-", "-", "-",
-                 r.cache_hit ? "y" : "n", "-"});
+      row.push_back("skipped");  // in place of the size column
+      row.resize(t.columns(), "-");
+      row[t.columns() - 2] = r.cache_hit ? "y" : "n";
+      t.add_row(std::move(row));
       continue;
     }
-    t.add_row({r.id, r.solver, r.instance_name, Table::fmt(r.n),
-               Table::fmt(r.m), Table::fmt(r.matching_size),
-               Table::fmt(r.matching_weight), Table::fmt(r.cost.passes),
-               Table::fmt(r.cost.rounds),
-               Table::fmt(r.cost.memory_peak_words),
-               Table::fmt(r.cost.bb_invocations), r.cache_hit ? "y" : "n",
-               Table::fmt(r.wall_ms_median, 2)});
+    row.push_back(Table::fmt(r.matching_size));
+    row.push_back(Table::fmt(r.matching_weight));
+    if (with_ratio) {
+      row.push_back(r.has_ratio() ? Table::fmt(r.ratio(), 4) : "-");
+    }
+    row.push_back(Table::fmt(r.cost.passes));
+    row.push_back(Table::fmt(r.cost.rounds));
+    row.push_back(Table::fmt(r.cost.memory_peak_words));
+    row.push_back(Table::fmt(r.cost.bb_invocations));
+    row.push_back(r.cache_hit ? "y" : "n");
+    row.push_back(Table::fmt(r.wall_ms_median, 2));
+    t.add_row(std::move(row));
   }
   return t;
 }
@@ -284,7 +302,7 @@ void BatchResult::print_bench_json(std::ostream& os,
                                    const std::string& name) const {
   os << "{\"bench\":";
   util::write_json_string(os, name);
-  os << ",\"schema_version\":" << kBatchSchemaVersion;
+  os << ",\"schema_version\":" << kBenchSchemaVersion;
   os << ",\"service\":{\"jobs\":" << results.size()
      << ",\"succeeded\":" << succeeded() << ",\"skipped\":" << skipped()
      << ",\"failed\":" << failed()
@@ -325,31 +343,8 @@ void BatchResult::print_bench_json(std::ostream& os,
       os << ",\"error\":";
       util::write_json_string(os, r.error);
     } else if (!r.skipped) {
-      const api::CostReport& c = r.cost;
       os << ",\"cache_hit\":" << (r.cache_hit ? "true" : "false");
-      os << ",\"counters\":{\"passes\":" << c.passes
-         << ",\"rounds\":" << c.rounds
-         << ",\"memory_peak_words\":" << c.memory_peak_words
-         << ",\"communication_words\":" << c.communication_words
-         << ",\"bb_invocations\":" << c.bb_invocations
-         << ",\"bb_max_invocation_cost\":" << c.bb_max_invocation_cost
-         << ",\"matching_size\":" << r.matching_size
-         << ",\"matching_weight\":" << r.matching_weight << '}';
-      if (r.has_ratio()) {
-        os << ",\"optimum\":" << util::json_number(r.optimum)
-           << ",\"ratio\":" << util::json_number(r.ratio());
-      }
-      os << ",\"wall_ms\":{\"median\":" << util::json_number(r.wall_ms_median)
-         << ",\"min\":" << util::json_number(r.wall_ms_min) << '}';
-      os << ",\"stats\":{";
-      bool first = true;
-      for (const auto& [stat_name, value] : r.stats) {
-        if (!first) os << ',';
-        first = false;
-        util::write_json_string(os, stat_name);
-        os << ':' << util::json_number(value);
-      }
-      os << '}';
+      write_bench_result_tail(os, r);
     }
     os << '}';
   }

@@ -11,10 +11,10 @@
 // jobs × threads combination; only wall clock varies.
 //
 // Two entry points: `run` for a materialized job list (the sweep layer's
-// grid cells, `wmatch_cli batch --file`), and `run_stream` for a bounded
-// JobQueue fed by a producer thread (`wmatch_cli batch` on a pipe). Both
-// share one InstanceCache, which also outlives batches — a long `serve`
-// session amortizes generation across requests.
+// grid cells, `wmatch_cli solve`'s one job per --algo), and `run_stream`
+// for a bounded JobQueue fed by a producer thread (`wmatch_cli batch`).
+// Both share one InstanceCache, which also outlives batches — a long
+// `serve` session amortizes generation across requests.
 #pragma once
 
 #include <cstddef>
@@ -29,11 +29,6 @@
 #include "util/table.h"
 
 namespace wmatch::service {
-
-/// Schema version of the batch BENCH JSON document; kept in lockstep with
-/// sweep::kBenchSchemaVersion so scripts/check_bench_regression.py diffs
-/// either document kind.
-inline constexpr int kBatchSchemaVersion = 1;
 
 struct SchedulerConfig {
   /// Concurrent jobs: 1 = sequential (default), 0 = one per hardware
@@ -61,7 +56,8 @@ struct BatchResult {
   double latency_ms_mean() const;
   double latency_ms_max() const;
 
-  /// One row per job: id, solver, instance, exact counters, wall ms.
+  /// One row per job: id, solver, instance, exact counters, wall ms; a
+  /// ratio column when any job reports one.
   Table table() const;
   /// Throughput / latency / cache summary rows ("metric", "value").
   Table summary_table() const;
@@ -76,6 +72,14 @@ struct BatchResult {
 class Scheduler {
  public:
   explicit Scheduler(SchedulerConfig config = {});
+
+  /// The job's instance through the shared cache, built on a miss from
+  /// the job's GenSpec or by loading its file (streamed in the file's
+  /// order). Throws what the loader throws for an unreadable or
+  /// malformed file. `*hit` (optional) reports whether a build was
+  /// avoided.
+  std::shared_ptr<const CachedInstance> instance(const JobSpec& job,
+                                                 bool* hit = nullptr);
 
   /// Executes one job on the calling thread (through the shared cache).
   /// Exceptions are captured into JobResult::error — run_job never throws.

@@ -94,32 +94,16 @@ SweepResult run_sweep(const SweepSpec& spec) {
     jobs.push_back(std::move(job));
   }
 
-  const service::BatchResult batch = scheduler.run(jobs);
+  service::BatchResult batch = scheduler.run(jobs);
   result.rows.reserve(cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    const service::JobResult& jr = batch.results[i];
+    service::JobResult& jr = batch.results[i];
     // Pre-service behaviour: a failing cell aborted the whole sweep.
     if (!jr.ok()) {
       throw std::runtime_error("sweep cell '" + cells[i].solver + "' on '" +
                                cells[i].gen.generator + "': " + jr.error);
     }
-    SweepRow row;
-    row.cell = cells[i];
-    row.instance_name = jr.instance_name;
-    row.n = jr.n;
-    row.m = jr.m;
-    row.skipped = jr.skipped;
-    if (!jr.skipped) {
-      row.cost = jr.cost;
-      row.wall_ms_median = jr.wall_ms_median;
-      row.wall_ms_min = jr.wall_ms_min;
-      row.matching_size = jr.matching_size;
-      row.matching_weight = jr.matching_weight;
-      row.achieved = jr.achieved;
-      row.optimum = jr.optimum;
-      row.stats = jr.stats;
-    }
-    result.rows.push_back(std::move(row));
+    result.rows.push_back({cells[i], std::move(jr)});
   }
   return result;
 }
@@ -128,11 +112,11 @@ namespace {
 
 bool any_ratio(const std::vector<SweepRow>& rows) {
   return std::any_of(rows.begin(), rows.end(),
-                     [](const SweepRow& r) { return r.has_ratio(); });
+                     [](const SweepRow& r) { return r.job.has_ratio(); });
 }
 
-std::string stat_cell(const SweepRow& row, const std::string& name) {
-  for (const auto& [key, value] : row.stats) {
+std::string stat_cell(const service::JobResult& r, const std::string& name) {
+  for (const auto& [key, value] : r.stats) {
     if (key == name) return Table::fmt(value, 1);
   }
   return "-";
@@ -149,15 +133,15 @@ Table SweepResult::table() const {
   if (with_ratio) header.insert(header.begin() + 9, "ratio");
   for (const std::string& s : spec.stat_columns) header.push_back(s);
   Table t(header);
-  for (const SweepRow& r : rows) {
+  for (const auto& [cell, r] : rows) {
     std::vector<std::string> row = {
-        r.cell.solver,
-        r.cell.gen.generator,
+        cell.solver,
+        cell.gen.generator,
         Table::fmt(r.n),
         Table::fmt(r.m),
-        Table::fmt(r.cell.epsilon, 2),
-        Table::fmt(r.cell.threads),
-        Table::fmt(static_cast<std::size_t>(r.cell.seed))};
+        Table::fmt(cell.epsilon, 2),
+        Table::fmt(cell.threads),
+        Table::fmt(static_cast<std::size_t>(cell.seed))};
     if (r.skipped) {
       row.push_back("skipped");  // in place of the size column
       while (row.size() < t.columns()) row.push_back("-");
@@ -196,10 +180,11 @@ Table SweepResult::summary_table() const {
   // Group key = every axis except the seed; std::map keeps deterministic
   // (expansion) order because the indices are ordered lexicographically.
   std::map<std::array<std::size_t, 4>, Group> groups;
-  for (const SweepRow& r : rows) {
-    Group& g = groups[{r.cell.solver_idx, r.cell.instance_idx,
-                       r.cell.epsilon_idx, r.cell.threads_idx}];
-    if (!g.first) g.first = &r;
+  for (const SweepRow& row : rows) {
+    const service::JobResult& r = row.job;
+    Group& g = groups[{row.cell.solver_idx, row.cell.instance_idx,
+                       row.cell.epsilon_idx, row.cell.threads_idx}];
+    if (!g.first) g.first = &row;
     if (r.skipped) {
       ++g.skipped;
       continue;
@@ -242,11 +227,11 @@ Table SweepResult::summary_table() const {
   for (const std::string& s : spec.stat_columns) header.push_back(s);
   Table t(header);
   for (const auto& [key, g] : groups) {
-    const SweepRow& f = *g.first;
+    const auto& [cell, first] = *g.first;
     std::vector<std::string> row = {
-        f.cell.solver,        f.cell.gen.generator, Table::fmt(f.n),
-        Table::fmt(f.m),      Table::fmt(f.cell.epsilon, 2),
-        Table::fmt(f.cell.threads), Table::fmt(g.ran)};
+        cell.solver,        cell.gen.generator, Table::fmt(first.n),
+        Table::fmt(first.m), Table::fmt(cell.epsilon, 2),
+        Table::fmt(cell.threads), Table::fmt(g.ran)};
     if (g.ran == 0) {
       row.back() = "skipped";
       while (row.size() < t.columns()) row.push_back("-");
@@ -276,7 +261,7 @@ Table SweepResult::summary_table() const {
 void SweepResult::print_bench_json(std::ostream& os) const {
   os << "{\"bench\":";
   util::write_json_string(os, spec.name);
-  os << ",\"schema_version\":" << kBenchSchemaVersion;
+  os << ",\"schema_version\":" << service::kBenchSchemaVersion;
 
   os << ",\"spec\":{\"repetitions\":" << std::max<std::size_t>(1, spec.repetitions)
      << ",\"warmup\":" << spec.warmup << ",\"delta\":" << util::json_number(spec.delta)
@@ -315,49 +300,24 @@ void SweepResult::print_bench_json(std::ostream& os) const {
   }
   os << "]},\"results\":[";
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    const SweepRow& r = rows[i];
+    const auto& [cell, r] = rows[i];
     if (i) os << ',';
     os << "{\"algorithm\":";
-    util::write_json_string(os, r.cell.solver);
+    util::write_json_string(os, cell.solver);
     os << ",\"generator\":";
-    util::write_json_string(os, r.cell.gen.generator);
+    util::write_json_string(os, cell.gen.generator);
     os << ",\"instance\":";
     util::write_json_string(os, r.instance_name);
     // The family index keeps results distinguishable (and the gate's keys
     // unique) when two families share generator/n/m and differ only in,
     // say, the weight distribution; it is stable across runs of one spec.
-    os << ",\"family\":" << r.cell.instance_idx << ",\"weights\":";
-    util::write_json_string(os, api::to_string(r.cell.gen.weights));
+    os << ",\"family\":" << cell.instance_idx << ",\"weights\":";
+    util::write_json_string(os, api::to_string(cell.gen.weights));
     os << ",\"n\":" << r.n << ",\"m\":" << r.m
-       << ",\"epsilon\":" << util::json_number(r.cell.epsilon)
-       << ",\"threads\":" << r.cell.threads << ",\"seed\":" << r.cell.seed
+       << ",\"epsilon\":" << util::json_number(cell.epsilon)
+       << ",\"threads\":" << cell.threads << ",\"seed\":" << cell.seed
        << ",\"skipped\":" << (r.skipped ? "true" : "false");
-    if (!r.skipped) {
-      const api::CostReport& c = r.cost;
-      os << ",\"counters\":{\"passes\":" << c.passes
-         << ",\"rounds\":" << c.rounds
-         << ",\"memory_peak_words\":" << c.memory_peak_words
-         << ",\"communication_words\":" << c.communication_words
-         << ",\"bb_invocations\":" << c.bb_invocations
-         << ",\"bb_max_invocation_cost\":" << c.bb_max_invocation_cost
-         << ",\"matching_size\":" << r.matching_size
-         << ",\"matching_weight\":" << r.matching_weight << '}';
-      if (r.has_ratio()) {
-        os << ",\"optimum\":" << util::json_number(r.optimum)
-           << ",\"ratio\":" << util::json_number(r.ratio());
-      }
-      os << ",\"wall_ms\":{\"median\":" << util::json_number(r.wall_ms_median)
-         << ",\"min\":" << util::json_number(r.wall_ms_min) << '}';
-      os << ",\"stats\":{";
-      bool first = true;
-      for (const auto& [name, value] : r.stats) {
-        if (!first) os << ',';
-        first = false;
-        util::write_json_string(os, name);
-        os << ':' << util::json_number(value);
-      }
-      os << '}';
-    }
+    if (!r.skipped) service::write_bench_result_tail(os, r);
     os << '}';
   }
   os << "]}\n";

@@ -3,12 +3,12 @@
 //
 // A SweepSpec names a cartesian grid — solver names x GenSpec instance
 // families x epsilon x threads x seed — plus repetition/warmup counts.
-// run_sweep expands the grid, drives every cell through api::Registry
-// against a cached Instance, and aggregates the CostReports: exact model
-// counters (passes / rounds / memory words / black-box calls) are taken
-// verbatim (they are deterministic functions of the seed and identical
-// across repetitions and thread counts), while wall clock is summarized
-// as median/min over the repetitions.
+// run_sweep expands the grid and submits every cell as one job to the
+// service Scheduler, which runs it against a cached Instance; each row
+// keeps the cell's service::JobResult as it is: exact model counters
+// (passes / rounds / memory words / black-box calls, deterministic
+// functions of the seed and identical across repetitions and thread
+// counts) and wall clock as median/min over the repetitions.
 //
 // Output is a Table (per-cell or seed-aggregated summary) and a
 // schema-versioned BENCH JSON document (BENCH_<name>.json) whose
@@ -23,13 +23,10 @@
 #include <vector>
 
 #include "api/api.h"
+#include "service/job.h"
 #include "util/table.h"
 
 namespace wmatch::sweep {
-
-/// Bumped whenever the JSON layout changes incompatibly; the regression
-/// gate refuses to compare documents with mismatched versions.
-inline constexpr int kBenchSchemaVersion = 1;
 
 struct SweepSpec {
   std::string name = "sweep";  ///< BENCH_<name>.json id
@@ -76,29 +73,13 @@ struct SweepCell {
 /// The full cartesian product; size is the product of the axis sizes.
 std::vector<SweepCell> expand_grid(const SweepSpec& spec);
 
+/// One grid cell and the Scheduler's result for it. A bipartite-only
+/// solver on a non-bipartite instance gives `job.skipped` (counters stay
+/// zero); `job.optimum` is the optimum of the solver's registered
+/// objective (planted or Blossom), -1 when unknown.
 struct SweepRow {
   SweepCell cell;
-  std::string instance_name;
-  std::size_t n = 0, m = 0;
-  /// True when the solver cannot run this instance (bipartite-only solver
-  /// on a non-bipartite instance); counters stay zero.
-  bool skipped = false;
-  /// Exact counters from the run; cost.wall_ms is the median over the
-  /// repetitions.
-  api::CostReport cost;
-  std::size_t matching_size = 0;
-  Weight matching_weight = 0;
-  /// Optimum of the solver's registered objective (planted or Blossom);
-  /// -1 when unknown. `ratio()` is achieved/optimum.
-  double optimum = -1.0;
-  double achieved = 0.0;  ///< weight or cardinality, per the objective
-  double wall_ms_median = 0.0, wall_ms_min = 0.0;
-  std::vector<std::pair<std::string, double>> stats;
-
-  bool has_ratio() const { return !skipped && optimum >= 0.0; }
-  double ratio() const {
-    return optimum == 0.0 ? 1.0 : achieved / optimum;
-  }
+  service::JobResult job;
 };
 
 struct SweepResult {

@@ -1,6 +1,6 @@
-// Minimal JSON emission helpers shared by the api layer's SolveResult
-// reports and the BENCH document writers. Only writing is supported —
-// parsing lives in util/json_parse.h.
+// Minimal JSON emission helpers shared by the service layer's per-job
+// lines (service::print_job_json) and the BENCH document writers. Only
+// writing is supported — parsing lives in util/json_parse.h.
 #pragma once
 
 #include <cmath>
@@ -18,8 +18,8 @@ namespace wmatch::util {
 /// as plain integers — the default 6-significant-digit format would
 /// round e.g. a Blossom optimum of 2124337 to 2.12434e+06 in a BENCH
 /// artifact — while non-integral values (ratios, wall ms) keep the
-/// compact default format. Shared by the api / sweep / service JSON
-/// writers so their documents stay byte-compatible.
+/// compact default format. Shared by every JSON writer (CLI, sweep,
+/// service, net) so their documents stay byte-compatible.
 inline std::string json_number(double x) {
   if (std::floor(x) == x && std::abs(x) < 1e15) {
     return std::to_string(static_cast<long long>(x));

@@ -8,7 +8,8 @@ set -u
 bin=${1:?usage: cli_errors.sh <path-to-wmatch_cli>}
 failures=0
 
-# expect_error <exit-code> <stderr-pattern> <args...>
+# expect_error <exit-code> <output-pattern> <args...> (exit 0 checks the
+# output of a successful run)
 expect_error() {
   local want_status=$1 pattern=$2
   shift 2
@@ -182,6 +183,43 @@ expect_ok bench --algo=greedy --gen=hard-greedy-trap --n=16 --seeds=1
 printf '# two jobs, one shared instance\n{"algo":"greedy","gen":{"generator":"erdos_renyi","n":20,"m":40},"seed":3}\n{"algo":"local-ratio","gen":{"generator":"erdos_renyi","n":20,"m":40},"seed":3}\n' \
   > "$tmpdir/ok.jsonl"
 expect_ok batch --file="$tmpdir/ok.jsonl" --jobs=2
+
+# solve is a batch of one instance: its --json lines are the per-job lines
+# `batch` prints for the same jobs, up to id, cache_hit and wall time.
+printf '{"algo":"greedy","gen":{"generator":"erdos_renyi","n":20,"m":40},"seed":3,"with_optimum":true}\n{"algo":"local-ratio","gen":{"generator":"erdos_renyi","n":20,"m":40},"seed":3,"with_optimum":true}\n' \
+  > "$tmpdir/parity.jsonl"
+"$bin" solve --algo=greedy,local-ratio --gen=erdos_renyi --n=20 --m=40 \
+  --seed=3 --json --with-optimum > "$tmpdir/solve.jsonl" 2>&1
+"$bin" batch --file="$tmpdir/parity.jsonl" > "$tmpdir/batch.jsonl" 2>/dev/null
+if python3 -c '
+import json, sys
+def norm(path):
+    out = []
+    for line in open(path):
+        o = json.loads(line)
+        for key in ("id", "cache_hit", "wall_ms"):
+            o.pop(key, None)
+        o["cost"].pop("wall_ms")
+        assert "ratio" in o["matching"], line
+        out.append(o)
+    return out
+solve, batch = norm(sys.argv[1]), norm(sys.argv[2])
+sys.exit(0 if len(solve) == 2 and solve == batch else 1)
+' "$tmpdir/solve.jsonl" "$tmpdir/batch.jsonl"; then
+  echo "ok: solve --json lines equal batch lines for the same jobs"
+else
+  echo "FAIL: solve --json and batch disagree on the same two jobs"
+  sed 's/^/    /' "$tmpdir/solve.jsonl" "$tmpdir/batch.jsonl"
+  failures=$((failures + 1))
+fi
+# planted optima need no --with-optimum (hard-four-cycle: greedy gets 0.7)
+expect_error 0 '"optimum":81920,"ratio":0.7}' \
+  solve --algo=greedy --gen=hard-four-cycle --n=40 --json
+# a bipartite-only solver on a general instance is skipped, as in batch
+expect_error 0 '"algorithm":"exact-hk".*"skipped":true' \
+  solve --algo=exact-hk --gen=erdos_renyi --n=50 --m=100 --json
+expect_error 0 "exact-hk .*skipped" \
+  solve --algo=exact-hk,greedy --gen=erdos_renyi --n=50 --m=100
 
 # README.md's CLI reference embeds the generated `wmatch_cli help` text
 # verbatim (the parser and the help text come from one flag table).

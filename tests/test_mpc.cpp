@@ -141,9 +141,9 @@ TEST(MpcMatching, ParallelMatchesSequentialBitForBit) {
 }
 
 TEST(MpcMatching, WeightedAlgorithmParallelMatchesSequential) {
-  // Mirrors the bench E5 acceptance check: the full weighted reduction on
-  // the MPC simulator yields the same matching weight and round count at a
-  // fixed seed for any thread count.
+  // The e5 preset's reduction-mpc cells at a test-sized n: the full
+  // weighted reduction on the MPC simulator yields the same matching weight
+  // and round count at a fixed seed for any thread count.
   Rng grng(21);
   Graph g = gen::assign_weights(gen::erdos_renyi(96, 480, grng),
                                 gen::WeightDist::kUniform, 1 << 8, grng);

@@ -519,6 +519,124 @@ TEST(BatchResult, BenchJsonCarriesSchemaCountersAndServiceSummary) {
   EXPECT_EQ(s.back(), '\n');
 }
 
+// The per-job line is the serve response, and the BENCH tail is what the
+// regression gate diffs: both are pinned byte for byte.
+TEST(JobJson, PerJobLineAndBenchTailArePinned) {
+  service::JobResult r;
+  r.id = "a";
+  r.solver = "greedy";
+  r.instance_name = "erdos_renyi";
+  r.n = 20;
+  r.m = 40;
+  r.cost.model = "streaming";
+  r.cost.passes = 1;
+  r.cost.memory_peak_words = 8;
+  r.cost.wall_ms = 0.5;
+  r.matching_size = 8;
+  r.matching_weight = 10977;
+  r.achieved = 10977;
+  r.optimum = 21954;
+  r.wall_ms_median = 0.5;
+  r.wall_ms_min = 0.25;
+  r.stats = {{"stack_size", 14}};
+
+  std::ostringstream ok;
+  service::print_job_json(ok, r);
+  EXPECT_EQ(ok.str(),
+            "{\"id\":\"a\",\"algorithm\":\"greedy\",\"instance\":{\"name\":"
+            "\"erdos_renyi\",\"n\":20,\"m\":40},\"skipped\":false,"
+            "\"cache_hit\":false,\"cost\":{\"model\":\"streaming\","
+            "\"passes\":1,\"rounds\":0,\"memory_peak_words\":8,"
+            "\"communication_words\":0,\"bb_invocations\":0,"
+            "\"bb_max_invocation_cost\":0,\"wall_ms\":0.5},\"matching\":{"
+            "\"size\":8,\"weight\":10977,\"optimum\":21954,\"ratio\":0.5},"
+            "\"wall_ms\":{\"median\":0.5,\"min\":0.25},"
+            "\"stats\":{\"stack_size\":14}}\n");
+
+  std::ostringstream tail;
+  service::write_bench_result_tail(tail, r);
+  EXPECT_EQ(tail.str(),
+            ",\"counters\":{\"passes\":1,\"rounds\":0,"
+            "\"memory_peak_words\":8,\"communication_words\":0,"
+            "\"bb_invocations\":0,\"bb_max_invocation_cost\":0,"
+            "\"matching_size\":8,\"matching_weight\":10977},"
+            "\"optimum\":21954,\"ratio\":0.5,"
+            "\"wall_ms\":{\"median\":0.5,\"min\":0.25},"
+            "\"stats\":{\"stack_size\":14}");
+
+  service::JobResult skipped;
+  skipped.id = "s";
+  skipped.solver = "exact-hk";
+  skipped.instance_name = "erdos_renyi";
+  skipped.n = 50;
+  skipped.m = 100;
+  skipped.skipped = true;
+  skipped.cache_hit = true;
+  std::ostringstream skip;
+  service::print_job_json(skip, skipped);
+  EXPECT_EQ(skip.str(),
+            "{\"id\":\"s\",\"algorithm\":\"exact-hk\",\"instance\":{"
+            "\"name\":\"erdos_renyi\",\"n\":50,\"m\":100},"
+            "\"skipped\":true,\"cache_hit\":true}\n");
+
+  service::JobResult failed;
+  failed.id = "e";
+  failed.solver = "greedy";
+  failed.error = "parse error at line 2";
+  std::ostringstream err;
+  service::print_job_json(err, failed);
+  EXPECT_EQ(err.str(),
+            "{\"id\":\"e\",\"algorithm\":\"greedy\","
+            "\"error\":\"parse error at line 2\"}\n");
+}
+
+TEST(BatchResult, TableHasARatioColumnOnlyWhenAJobHasARatio) {
+  service::JobSpec planted;
+  planted.solver = "greedy";
+  planted.source = small_gen("hard-four-cycle", 40, 0);
+  service::JobSpec plain = planted;
+  plain.source = small_gen("erdos_renyi", 20, 40);
+
+  service::Scheduler scheduler;
+  const auto header = [&](const std::vector<service::JobSpec>& jobs) {
+    std::ostringstream os;
+    scheduler.run(jobs).table().print(os);
+    return os.str().substr(0, os.str().find('\n'));
+  };
+  EXPECT_EQ(header({plain}).find("ratio"), std::string::npos);
+  // The planted optimum alone (no with_optimum) gives the column; the
+  // job without an optimum shows "-" in it.
+  const std::vector<service::JobSpec> both = {planted, plain};
+  EXPECT_NE(header(both).find("ratio"), std::string::npos);
+  EXPECT_EQ(scheduler.run(both).table().columns(), 14u);
+}
+
+// Scheduler::instance is the cache lookup run_job makes: jobs after it
+// hit, and an unreadable file fails with the loader's message.
+TEST(Scheduler, InstanceIsTheEntryRunJobUses) {
+  service::JobSpec job;
+  job.solver = "greedy";
+  job.source = small_gen("erdos_renyi", 20, 40);
+  service::Scheduler scheduler;
+  bool hit = true;
+  const auto entry = scheduler.instance(job, &hit);
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(entry->instance().num_edges(), 40u);
+  const service::BatchResult batch = scheduler.run({job, job});
+  EXPECT_TRUE(batch.results[0].cache_hit);
+  EXPECT_TRUE(batch.results[1].cache_hit);
+  EXPECT_EQ(scheduler.cache().stats().misses, 1u);
+
+  service::JobSpec missing = job;
+  missing.source = service::FileSource{"/nonexistent/x.graph"};
+  try {
+    scheduler.instance(missing);
+    FAIL() << "expected an exception";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "cannot open '/nonexistent/x.graph' for reading");
+  }
+}
+
 // The sweep layer is the service's first internal client: cell-level
 // parallelism must not change any reported counter.
 TEST(SweepService, SweepJobsKnobKeepsCountersBitIdentical) {
@@ -538,12 +656,12 @@ TEST(SweepService, SweepJobsKnobKeepsCountersBitIdentical) {
     const sweep::SweepRow& a = serial.rows[i];
     const sweep::SweepRow& b = parallel.rows[i];
     EXPECT_EQ(a.cell.solver, b.cell.solver);
-    EXPECT_EQ(a.skipped, b.skipped);
-    EXPECT_EQ(a.matching_weight, b.matching_weight);
-    EXPECT_EQ(a.cost.passes, b.cost.passes);
-    EXPECT_EQ(a.cost.memory_peak_words, b.cost.memory_peak_words);
-    EXPECT_EQ(a.cost.bb_invocations, b.cost.bb_invocations);
-    EXPECT_EQ(a.stats, b.stats);
+    EXPECT_EQ(a.job.skipped, b.job.skipped);
+    EXPECT_EQ(a.job.matching_weight, b.job.matching_weight);
+    EXPECT_EQ(a.job.cost.passes, b.job.cost.passes);
+    EXPECT_EQ(a.job.cost.memory_peak_words, b.job.cost.memory_peak_words);
+    EXPECT_EQ(a.job.cost.bb_invocations, b.job.cost.bb_invocations);
+    EXPECT_EQ(a.job.stats, b.job.stats);
   }
 }
 

@@ -91,25 +91,26 @@ TEST(RunSweep, CountersAreDeterministicAcrossThreadCounts) {
       const sweep::SweepRow& x = a.rows[i];
       const sweep::SweepRow& y = b.rows[i];
       ASSERT_EQ(x.cell.solver, y.cell.solver);
-      EXPECT_EQ(x.skipped, y.skipped);
-      EXPECT_EQ(x.matching_size, y.matching_size) << x.cell.solver;
-      EXPECT_EQ(x.matching_weight, y.matching_weight) << x.cell.solver;
-      EXPECT_EQ(x.cost.passes, y.cost.passes) << x.cell.solver;
-      EXPECT_EQ(x.cost.rounds, y.cost.rounds) << x.cell.solver;
-      EXPECT_EQ(x.cost.memory_peak_words, y.cost.memory_peak_words)
+      EXPECT_EQ(x.job.skipped, y.job.skipped);
+      EXPECT_EQ(x.job.matching_size, y.job.matching_size) << x.cell.solver;
+      EXPECT_EQ(x.job.matching_weight, y.job.matching_weight) << x.cell.solver;
+      EXPECT_EQ(x.job.cost.passes, y.job.cost.passes) << x.cell.solver;
+      EXPECT_EQ(x.job.cost.rounds, y.job.cost.rounds) << x.cell.solver;
+      EXPECT_EQ(x.job.cost.memory_peak_words, y.job.cost.memory_peak_words)
           << x.cell.solver;
-      EXPECT_EQ(x.cost.communication_words, y.cost.communication_words)
+      EXPECT_EQ(x.job.cost.communication_words, y.job.cost.communication_words)
           << x.cell.solver;
-      EXPECT_EQ(x.cost.bb_invocations, y.cost.bb_invocations)
+      EXPECT_EQ(x.job.cost.bb_invocations, y.job.cost.bb_invocations)
           << x.cell.solver;
-      EXPECT_EQ(x.cost.bb_max_invocation_cost, y.cost.bb_max_invocation_cost)
+      EXPECT_EQ(x.job.cost.bb_max_invocation_cost,
+                y.job.cost.bb_max_invocation_cost)
           << x.cell.solver;
     }
   }
   // The metering fix: reduction-hk's semi-streaming storage reports.
   for (const sweep::SweepRow& row : a.rows) {
-    if (row.cell.solver == "reduction-hk" && !row.skipped) {
-      EXPECT_GT(row.cost.memory_peak_words, 0u) << row.instance_name;
+    if (row.cell.solver == "reduction-hk" && !row.job.skipped) {
+      EXPECT_GT(row.job.cost.memory_peak_words, 0u) << row.job.instance_name;
     }
   }
 }
@@ -129,10 +130,11 @@ TEST(RunSweep, RepetitionsKeepCountersAndAggregateWall) {
   const sweep::SweepResult reps = sweep::run_sweep(spec);
   ASSERT_EQ(once.rows.size(), reps.rows.size());
   for (std::size_t i = 0; i < reps.rows.size(); ++i) {
-    EXPECT_EQ(once.rows[i].cost.memory_peak_words,
-              reps.rows[i].cost.memory_peak_words);
-    EXPECT_EQ(once.rows[i].matching_weight, reps.rows[i].matching_weight);
-    EXPECT_GE(reps.rows[i].wall_ms_median, reps.rows[i].wall_ms_min);
+    EXPECT_EQ(once.rows[i].job.cost.memory_peak_words,
+              reps.rows[i].job.cost.memory_peak_words);
+    EXPECT_EQ(once.rows[i].job.matching_weight,
+              reps.rows[i].job.matching_weight);
+    EXPECT_GE(reps.rows[i].job.wall_ms_median, reps.rows[i].job.wall_ms_min);
   }
 }
 
@@ -150,9 +152,9 @@ TEST(RunSweep, BipartiteOnlySolverIsSkippedOnGeneralGraphs) {
   spec.seeds = {3};
   const sweep::SweepResult r = sweep::run_sweep(spec);
   ASSERT_EQ(r.rows.size(), 2u);
-  EXPECT_TRUE(r.rows[0].skipped);
-  EXPECT_FALSE(r.rows[1].skipped);
-  EXPECT_GT(r.rows[1].matching_size, 0u);
+  EXPECT_TRUE(r.rows[0].job.skipped);
+  EXPECT_FALSE(r.rows[1].job.skipped);
+  EXPECT_GT(r.rows[1].job.matching_size, 0u);
   // Tables render for mixed skipped/ran rows without arity errors.
   EXPECT_EQ(r.table().rows(), 2u);
   EXPECT_GE(r.summary_table().rows(), 2u);
@@ -273,9 +275,9 @@ TEST(Presets, EveryPresetRunsWithinGuaranteeOnItsFirstCell) {
     ASSERT_NO_THROW(r = sweep::run_sweep(spec)) << name;
     EXPECT_EQ(r.rows.size(), sweep::expand_grid(spec).size()) << name;
     for (const sweep::SweepRow& row : r.rows) {
-      if (!row.has_ratio()) continue;
-      EXPECT_LE(row.ratio(), 1.0) << name << ' ' << row.cell.solver;
-      EXPECT_GE(row.ratio(), registry.info(row.cell.solver).guarantee)
+      if (!row.job.has_ratio()) continue;
+      EXPECT_LE(row.job.ratio(), 1.0) << name << ' ' << row.cell.solver;
+      EXPECT_GE(row.job.ratio(), registry.info(row.cell.solver).guarantee)
           << name << ' ' << row.cell.solver << " eps=" << row.cell.epsilon;
     }
   }
