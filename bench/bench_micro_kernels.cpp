@@ -2,7 +2,9 @@
 // median-of-K timings for the reduction's hot path over the `ci`
 // bipartite instance's classes (bench/hot_path.h) —
 //   tau-pairs       pairs_for_values over every class's value sets
+//   buckets         bucket_edges (buckets + gap index) for every class
 //   layered-build   every class pair through one LayeredGraphBuilder
+//                   (over the buckets above: a class pays both)
 //   blossom         blossom_max_weight, weighted and max-cardinality,
 //                   on the stream workload's random-arrival T set
 // (their checksums equal the reference implementations', asserted by
@@ -246,11 +248,11 @@ void write_kernels_json(std::ostream& os,
 
 int run_kernels(const Args& args) {
   std::cout << "=== micro kernels / hot paths + data-plane layout ===\n"
-            << "Tau-pair enumeration and layered-graph builds over the ci "
-               "bipartite instance's classes; Blossom on the stream "
-               "workload's random-arrival T set; a frozen-CSR scan; the "
-               "word-parallel HK BFS layering pass; arena-backed fork "
-               "scratch vs fresh heap vectors. Median of 9 reps, "
+            << "Tau-pair enumeration, edge bucketing and layered-graph "
+               "builds over the ci bipartite instance's classes; Blossom on "
+               "the stream workload's random-arrival T set; a frozen-CSR "
+               "scan; the word-parallel HK BFS layering pass; arena-backed "
+               "fork scratch vs fresh heap vectors. Median of 9 reps, "
                "informational wall-ms.\n\n";
 
   const GraphView scan_view = freeze(make_weighted(4096, 32768, 1));
@@ -265,6 +267,9 @@ int run_kernels(const Args& args) {
   std::vector<KernelResult> results;
   results.push_back(run_kernel("tau-pairs", [&] {
     return bench::hot_path::tau_pairs_checksum(hot, core::pairs_for_values);
+  }));
+  results.push_back(run_kernel("buckets", [&] {
+    return bench::hot_path::buckets_checksum(hot, core::bucket_edges);
   }));
   results.push_back(run_kernel("layered-build", [&] {
     core::LayeredGraphBuilder builder;
@@ -300,9 +305,9 @@ int run_kernels(const Args& args) {
           std::cout, std::cerr)) {
     return 1;
   }
-  std::cout << "\nExpected shape: tau-pairs and layered-build are the "
-               "reduction's per-class scaffolding (the black box is not in "
-               "them); blossom is the random-arrival algorithms' exact "
+  std::cout << "\nExpected shape: tau-pairs, buckets and layered-build are "
+               "the reduction's per-class scaffolding (the black box is not "
+               "in them); blossom is the random-arrival algorithms' exact "
                "step; arena-fork-scratch amortizes away heap-fork-scratch's "
                "per-fork allocations.\n\n";
   return 0;

@@ -1,6 +1,7 @@
 // Inputs and checksums for the hot-path kernels: the reduction's tau-pair
-// enumeration and layered-graph builds, as find_class_augmentations runs
-// them, and the Blossom solve of the random-arrival algorithm's edge set T.
+// enumeration, edge bucketing and layered-graph builds, as
+// find_class_augmentations runs them, and the Blossom solve of the
+// random-arrival algorithm's edge set T.
 //
 // The inputs are the `ci` preset's bipartite reduction instance (n=200,
 // m=800, uniform weights up to 4096, seed 1) under its greedy-by-weight
@@ -16,6 +17,7 @@
 #include <cmath>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "api/instance.h"
@@ -30,7 +32,8 @@ namespace wmatch::bench::hot_path {
 
 struct ClassInput {
   core::Parametrization par;
-  core::BucketedEdges buckets;
+  core::CrossingEdges crossing;     ///< bucket_edges input
+  core::BucketedEdges buckets;      ///< library buckets (layered-build input)
   std::vector<int> a_vals, b_vals;  ///< pairs_for_values inputs
   std::uint64_t seed = 0;           ///< the class's pair-sampling seed
   std::vector<core::TauPair> pairs; ///< library pairs (layered-build input)
@@ -67,8 +70,8 @@ inline Inputs ci_bipartite_inputs() {
     w /= cfg.class_base;
     ClassInput c;
     c.par = core::random_parametrization(in.g.num_vertices(), rng);
-    c.buckets = core::bucket_edges(core::crossing_edges(in.g, in.m, c.par),
-                                   core::quantum(w_class, in.tau),
+    c.crossing = core::crossing_edges(in.g, in.m, c.par);
+    c.buckets = core::bucket_edges(c.crossing, core::quantum(w_class, in.tau),
                                    core::max_units(in.tau));
     c.a_vals = c.buckets.matched_values();
     c.b_vals = c.buckets.unmatched_values();
@@ -98,6 +101,34 @@ std::uint64_t tau_pairs_checksum(const Inputs& in, PairsFn&& pairs) {
       for (int b : p.tau_b) h = fold(h, static_cast<std::uint64_t>(b));
     }
     h = fold(h, rng.next());
+  }
+  return h;
+}
+
+/// Folds every class's buckets and gap index (each group's key and
+/// edges, in index order). `bucket(crossing, unit, umax)` is bucket_edges
+/// or a reference with its signature.
+template <typename BucketFn>
+std::uint64_t buckets_checksum(const Inputs& in, BucketFn&& bucket) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto fold_edges = [&h](std::span<const Edge> edges) {
+    h = fold(h, edges.size());
+    for (const Edge& e : edges) {
+      h = fold(h, e.u);
+      h = fold(h, e.v);
+      h = fold(h, static_cast<std::uint64_t>(e.w));
+    }
+  };
+  for (const ClassInput& c : in.classes) {
+    const core::BucketedEdges b =
+        bucket(c.crossing, c.buckets.unit, core::max_units(in.tau));
+    for (const std::vector<Edge>& edges : b.matched) fold_edges(edges);
+    for (const std::vector<Edge>& edges : b.unmatched) fold_edges(edges);
+    for (std::size_t i = 0; i < b.group_keys.size(); ++i) {
+      h = fold(h, b.group_keys[i]);
+      fold_edges(std::span<const Edge>(b.grouped).subspan(
+          b.group_begin[i], b.group_begin[i + 1] - b.group_begin[i]));
+    }
   }
   return h;
 }

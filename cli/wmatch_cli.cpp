@@ -577,6 +577,10 @@ int cmd_solve(Options& opt) {
 
   service::JobSpec job;
   if (opt.input_path.empty()) {
+    if (const std::string error = api::gen_spec_error(opt.gen);
+        !error.empty()) {
+      usage_error("--" + error);
+    }
     job.source = opt.gen;
   } else {
     job.source = service::FileSource{opt.input_path, opt.gen.order};
@@ -642,6 +646,10 @@ int cmd_bench(Options& opt) {
     for (const std::string& g : opt.gens) {
       api::GenSpec inst = opt.gen;
       inst.generator = g;
+      if (const std::string error = api::gen_spec_error(inst);
+          !error.empty()) {
+        usage_error("--" + error);
+      }
       spec.instances.push_back(std::move(inst));
     }
   }

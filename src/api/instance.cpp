@@ -1,8 +1,9 @@
 #include "api/instance.h"
 
-#include <utility>
-
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
+#include <utility>
 
 #include "exact/hopcroft_karp.h"
 #include "gen/generators.h"
@@ -138,9 +139,57 @@ Instance make_instance(Graph graph, ArrivalOrder order,
   return inst;
 }
 
+namespace {
+
+/// a * b, or SIZE_MAX when that overflows.
+std::size_t saturating_mul(std::size_t a, std::size_t b) {
+  if (a != 0 && b > std::numeric_limits<std::size_t>::max() / a) {
+    return std::numeric_limits<std::size_t>::max();
+  }
+  return a * b;
+}
+
+}  // namespace
+
+std::string gen_spec_error(const GenSpec& spec) {
+  // Texts are built only on failure, so accepting a spec allocates nothing.
+  const std::string& g = spec.generator;
+  auto n = [&] { return "n=" + std::to_string(spec.n); };
+  auto too_few = [&](std::size_t least) {
+    return n() + " is fewer than the " + std::to_string(least) +
+           " vertices " + g + " needs";
+  };
+  if (g == "erdos_renyi" || g == "bipartite") {
+    if (spec.n < 2) return too_few(2);
+    const std::size_t most =
+        g == "bipartite"
+            ? saturating_mul(spec.n / 2, spec.n - spec.n / 2)
+            : (spec.n % 2 == 0 ? saturating_mul(spec.n / 2, spec.n - 1)
+                               : saturating_mul(spec.n, (spec.n - 1) / 2));
+    if (spec.m > most) {
+      return "m=" + std::to_string(spec.m) + " is more edges than " + g +
+             " can place on " + n() + " vertices (at most " +
+             std::to_string(most) + ")";
+    }
+  } else if (g == "barabasi_albert") {
+    auto attach = [&] { return "attach=" + std::to_string(spec.attach); };
+    if (spec.attach < 1) return attach() + " must be at least 1";
+    if (spec.n <= spec.attach) {
+      return n() + " must exceed " + attach() + " for barabasi_albert";
+    }
+  } else if (g == "path" || g == "cycle") {
+    const std::size_t least = g == "path" ? 2 : 3;
+    if (spec.n < least) return too_few(least);
+  }
+  return "";
+}
+
 Instance generate_instance(const GenSpec& spec) {
   WMATCH_REQUIRE(is_known_generator(spec.generator),
                  "unknown generator '" + spec.generator + "'");
+  if (const std::string error = gen_spec_error(spec); !error.empty()) {
+    throw std::invalid_argument(error);
+  }
   Rng rng(spec.seed);
   if (spec.generator.rfind("hard-", 0) == 0) {
     // Planted adversarial families keep their constructed weights and
@@ -165,8 +214,6 @@ Instance generate_instance(const GenSpec& spec) {
     g = gen::random_geometric(spec.n, spec.radius,
                               std::max<Weight>(1, spec.max_weight), rng);
   } else if (spec.generator == "path" || spec.generator == "cycle") {
-    WMATCH_REQUIRE(spec.n >= (spec.generator == "path" ? 2u : 3u),
-                   "path needs n >= 2, cycle needs n >= 3");
     const std::size_t k = spec.generator == "path" ? spec.n - 1 : spec.n;
     std::vector<Weight> w(k);
     for (auto& x : w) x = gen::draw_weight(spec.weights, spec.max_weight, rng);

@@ -90,8 +90,18 @@ struct GenSpec {
   std::uint64_t seed = 1;     ///< drives generation AND the stream order
 };
 
+/// Why the random family `spec` names cannot be generated, or "" when it
+/// can: too few vertices (erdos_renyi and bipartite need 2, path 2,
+/// cycle 3), more edges than erdos_renyi (n(n-1)/2) or bipartite
+/// (floor(n/2) * ceil(n/2)) can place, or an attachment degree
+/// barabasi_albert cannot honour. The text starts with the offending
+/// field as `key=value` (the CLI flag without its dashes, the job-line
+/// "gen" key) and names no source file.
+std::string gen_spec_error(const GenSpec& spec);
+
 /// Builds the graph, assigns weights, and materializes the stream; the
-/// whole instance is a deterministic function of the GenSpec.
+/// whole instance is a deterministic function of the GenSpec. A spec
+/// gen_spec_error rejects throws std::invalid_argument with its text.
 Instance generate_instance(const GenSpec& spec);
 
 /// Every name GenSpec::generator accepts, sorted — the CLI's flag

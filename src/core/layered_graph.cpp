@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "runtime/parallel.h"
-#include "runtime/thread_pool.h"
 #include "util/require.h"
 
 namespace wmatch::core {
@@ -18,6 +16,10 @@ CrossingEdges crossing_edges(const GraphView& g, const Matching& m,
                              const Parametrization& par) {
   WMATCH_REQUIRE(par.size() == g.num_vertices(), "parametrization size");
   CrossingEdges out;
+  out.free.resize(g.num_vertices());
+  for (std::size_t v = 0; v < out.free.size(); ++v) {
+    out.free[v] = !m.is_matched(static_cast<Vertex>(v));
+  }
   for (const Edge& e : g.edges()) {
     if (par[e.u] == par[e.v]) continue;
     if (m.contains(e)) {
@@ -33,16 +35,34 @@ CrossingEdges crossing_edges(const GraphView& g, const Matching& m,
   return out;
 }
 
+namespace {
+
+/// The index key of group (tag_u, b, tag_v), each in [0, umax].
+std::uint64_t group_key(int tag_u, int b, int tag_v, int umax) {
+  const auto s = static_cast<std::uint64_t>(umax) + 1;
+  return (static_cast<std::uint64_t>(tag_u) * s +
+          static_cast<std::uint64_t>(b)) * s +
+         static_cast<std::uint64_t>(tag_v);
+}
+
+}  // namespace
+
 BucketedEdges bucket_edges(const CrossingEdges& edges, Weight unit, int umax) {
   WMATCH_REQUIRE(unit >= 1 && umax >= 1, "bad bucket parameters");
   BucketedEdges out;
   out.unit = unit;
   out.matched.assign(static_cast<std::size_t>(umax) + 1, {});
   out.unmatched.assign(static_cast<std::size_t>(umax) + 1, {});
+  constexpr int kNoTag = -1;
+  std::vector<int> tag(edges.free.size(), kNoTag);
+  for (std::size_t v = 0; v < tag.size(); ++v) {
+    if (edges.free[v]) tag[v] = 0;
+  }
   for (const Edge& e : edges.matched) {
     Weight units = (e.w + unit - 1) / unit;  // ceil: w in ((a-1)U, aU]
     if (units >= 1 && units <= umax) {
       out.matched[static_cast<std::size_t>(units)].push_back(e);
+      tag[e.u] = tag[e.v] = static_cast<int>(units);
     }
   }
   for (const Edge& e : edges.unmatched) {
@@ -51,6 +71,29 @@ BucketedEdges bucket_edges(const CrossingEdges& edges, Weight unit, int umax) {
       out.unmatched[static_cast<std::size_t>(units)].push_back(e);
     }
   }
+
+  // The gap index: key every indexable edge in bucket order, then a stable
+  // sort groups them with bucket order kept inside each group.
+  std::vector<std::pair<std::uint64_t, Edge>> keyed;
+  for (std::size_t b = 1; b < out.unmatched.size(); ++b) {
+    for (const Edge& e : out.unmatched[b]) {
+      if (tag[e.u] == kNoTag || tag[e.v] == kNoTag) continue;
+      keyed.emplace_back(
+          group_key(tag[e.u], static_cast<int>(b), tag[e.v], umax), e);
+    }
+  }
+  std::stable_sort(
+      keyed.begin(), keyed.end(),
+      [](const auto& x, const auto& y) { return x.first < y.first; });
+  out.grouped.reserve(keyed.size());
+  for (const auto& [key, e] : keyed) {
+    if (out.group_keys.empty() || out.group_keys.back() != key) {
+      out.group_keys.push_back(key);
+      out.group_begin.push_back(static_cast<std::uint32_t>(out.grouped.size()));
+    }
+    out.grouped.push_back(e);
+  }
+  out.group_begin.push_back(static_cast<std::uint32_t>(out.grouped.size()));
   return out;
 }
 
@@ -70,9 +113,23 @@ std::vector<int> BucketedEdges::unmatched_values() const {
   return out;
 }
 
+std::span<const Edge> BucketedEdges::gap(int tag_u, int b, int tag_v) const {
+  const int umax = static_cast<int>(unmatched.size()) - 1;
+  if (tag_u < 0 || tag_u > umax || b < 1 || b > umax || tag_v < 0 ||
+      tag_v > umax) {
+    return {};
+  }
+  const std::uint64_t key = group_key(tag_u, b, tag_v, umax);
+  const auto it = std::lower_bound(group_keys.begin(), group_keys.end(), key);
+  if (it == group_keys.end() || *it != key) return {};
+  const auto i = static_cast<std::size_t>(it - group_keys.begin());
+  return {grouped.data() + group_begin[i], grouped.data() + group_begin[i + 1]};
+}
+
 std::optional<LayeredGraph> LayeredGraphBuilder::build(
-    const BucketedEdges& edges, const Matching& m, const Parametrization& par,
-    const TauPair& tau, std::size_t n, const runtime::RuntimeConfig& rt) {
+    const BucketedEdges& edges, const Matching& /*m*/,
+    const Parametrization& par, const TauPair& tau, std::size_t n,
+    const runtime::RuntimeConfig& /*rt*/) {
   const std::size_t layers = tau.num_layers();
   WMATCH_REQUIRE(layers >= 2, "layered graph needs >= 2 layers");
   const std::size_t k = layers - 1;
@@ -93,6 +150,22 @@ std::optional<LayeredGraph> LayeredGraphBuilder::build(
     }
   }
 
+  // Y edges between consecutive layers (u in R at t, v in L at t+1): a
+  // vertex is present at layer t iff its tag is tau_a[t], where tag 0
+  // (M-free) counts only at the endpoint layers 0 and k; an intermediate
+  // tau_a of 0 admits no vertex. So gap t is one index group.
+  auto layer_tag = [&](std::size_t t) {
+    const int a = tau.tau_a[t];
+    return a == 0 && t != 0 && t != k ? -1 : a;
+  };
+  gaps_.clear();
+  std::size_t between = 0;
+  for (std::size_t t = 0; t < k; ++t) {
+    gaps_.push_back(edges.gap(layer_tag(t), tau.tau_b[t], layer_tag(t + 1)));
+    between += gaps_.back().size();
+  }
+  if (between == 0) return std::nullopt;
+
   // A new epoch invalidates every slot of the previous build at once.
   if (slots_.size() < layers * n) slots_.resize(layers * n);
   if (++epoch_ == 0) {
@@ -100,82 +173,24 @@ std::optional<LayeredGraph> LayeredGraphBuilder::build(
     epoch_ = 1;
   }
 
-  // Matched-vertex presence per layer.
-  for (std::size_t t = 0; t < layers; ++t) {
+  auto x_edges = [&](std::size_t t) -> std::span<const Edge> {
     const int a = tau.tau_a[t];
-    if (a <= 0) continue;
-    for (const Edge& e : edges.matched[static_cast<std::size_t>(a)]) {
-      slots_[t * n + e.u].present = epoch_;
-      slots_[t * n + e.v].present = epoch_;
-    }
-  }
-
-  // Intermediate X edges (first/last-layer matched edges belong to L but
-  // are removed in L').
-  xedges_.clear();
-  for (std::size_t t = 1; t + 1 < layers; ++t) {
-    const int a = tau.tau_a[t];
-    if (a <= 0) continue;
-    for (const Edge& e : edges.matched[static_cast<std::size_t>(a)]) {
-      xedges_.push_back({t, t, e.u, e.v, e.w});
-    }
-  }
-
-  auto present = [&](std::size_t t, Vertex v) -> bool {
-    if (slots_[t * n + v].present == epoch_) return true;
-    if (t == 0) {
-      return par[v] == 1 && !m.is_matched(v) && tau.tau_a[0] == 0;
-    }
-    if (t == k) {
-      return par[v] == 0 && !m.is_matched(v) && tau.tau_a[k] == 0;
-    }
-    return false;  // intermediate layers require a kept matched edge
+    if (a <= 0) return {};
+    return edges.matched[static_cast<std::size_t>(a)];
   };
-
-  // Y edges between consecutive layers (u in R at t, v in L at t+1). The
-  // gaps are independent and read-only over the presence slots, m and
-  // par, so large builds filter them on the thread pool; per-gap results
-  // are concatenated in gap order, which keeps the construction
-  // schedule-independent. Small builds run inline — the output never
-  // depends on the pool, only the wall clock does.
-  auto filter_gaps = [&](std::size_t lo, std::size_t hi,
-                         std::vector<RawEdge>& part) {
-    for (std::size_t t = lo; t < hi; ++t) {
-      const int b = tau.tau_b[t];
-      for (const Edge& e : edges.unmatched[static_cast<std::size_t>(b)]) {
-        if (!present(t, e.u) || !present(t + 1, e.v)) continue;
-        part.push_back({t, t + 1, e.u, e.v, e.w});
-      }
-    }
-  };
-  std::size_t gap_work = 0;
-  for (int b : tau.tau_b) {
-    gap_work += edges.unmatched[static_cast<std::size_t>(b)].size();
-  }
-  yedges_.clear();
-  if (gap_work >= runtime::kParallelWorkCutoff) {
-    yedges_ = runtime::parallel_reduce(
-        runtime::pool_for(rt), k, 1, std::vector<RawEdge>{},
-        [&](std::size_t lo, std::size_t hi) {
-          std::vector<RawEdge> part;
-          filter_gaps(lo, hi, part);
-          return part;
-        },
-        [](std::vector<RawEdge> acc, std::vector<RawEdge> part) {
-          if (acc.empty()) return part;  // move, don't copy (single chunk)
-          acc.insert(acc.end(), part.begin(), part.end());
-          return acc;
-        });
-  } else {
-    filter_gaps(0, k, yedges_);
-  }
-  if (yedges_.empty()) return std::nullopt;
 
   // Compress the (layer, vertex) pairs that occur on at least one edge, in
-  // first-seen order over the X edges, then the Y edges.
+  // first-seen order over the intermediate X edges (first/last-layer
+  // matched edges belong to L but are removed in L'), then the Y edges in
+  // gap order.
+  std::size_t x_count = 0;
+  for (std::size_t t = 1; t < k; ++t) x_count += x_edges(t).size();
   LayeredGraph out;
   out.layers = layers;
-  out.num_between_edges = yedges_.size();
+  out.num_between_edges = between;
+  out.original.reserve(2 * (x_count + between));
+  out.layer_of.reserve(2 * (x_count + between));
+  out.side.reserve(2 * (x_count + between));
   auto intern = [&](std::size_t t, Vertex v) {
     Slot& slot = slots_[t * n + v];
     if (slot.interned == epoch_) return;
@@ -185,23 +200,31 @@ std::optional<LayeredGraph> LayeredGraphBuilder::build(
     out.layer_of.push_back(static_cast<std::uint16_t>(t + 1));
     out.side.push_back(par[v]);
   };
-  for (const std::vector<RawEdge>* part : {&xedges_, &yedges_}) {
-    for (const RawEdge& e : *part) {
-      intern(e.tu, e.u);
-      intern(e.tv, e.v);
+  for (std::size_t t = 1; t < k; ++t) {
+    for (const Edge& e : x_edges(t)) {
+      intern(t, e.u);
+      intern(t, e.v);
+    }
+  }
+  for (std::size_t t = 0; t < k; ++t) {
+    for (const Edge& e : gaps_[t]) {
+      intern(t, e.u);
+      intern(t + 1, e.v);
     }
   }
 
+  auto id = [&](std::size_t t, Vertex v) { return slots_[t * n + v].id; };
   Graph lp(out.original.size());
+  lp.reserve(x_count + between);
   Matching ml(out.original.size());
-  for (const std::vector<RawEdge>* part : {&xedges_, &yedges_}) {
-    const bool between = part == &yedges_;
-    for (const RawEdge& e : *part) {
-      const std::uint32_t cu = slots_[e.tu * n + e.u].id;
-      const std::uint32_t cv = slots_[e.tv * n + e.v].id;
-      lp.add_edge(cu, cv, e.w);
-      if (!between) ml.add(cu, cv, e.w);
+  for (std::size_t t = 1; t < k; ++t) {
+    for (const Edge& e : x_edges(t)) {
+      lp.add_edge(id(t, e.u), id(t, e.v), e.w);
+      ml.add(id(t, e.u), id(t, e.v), e.w);
     }
+  }
+  for (std::size_t t = 0; t < k; ++t) {
+    for (const Edge& e : gaps_[t]) lp.add_edge(id(t, e.u), id(t + 1, e.v), e.w);
   }
   // Freeze the compressed subgraph eagerly: the black box reads it from
   // parallel BFS/DFS chunks, which must never see a lazily-built index.

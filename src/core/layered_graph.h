@@ -19,9 +19,16 @@
 //
 // We materialize only the *present* vertices (compressed ids) of L', the
 // working graph of Algorithm 4 (first/last-layer matched edges removed).
+// A vertex is present at layer t iff its matched edge lies in bucket
+// tau^A_t, or, at an endpoint layer with tau^A_t = 0, iff it is M-free;
+// so the between-layer edges of gap t are one group of the gap index that
+// bucket_edges builds once per (class, parametrization), and a build
+// costs what it emits (DESIGN.md §10).
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/tau.h"
@@ -53,6 +60,7 @@ struct LayeredGraph {
 struct CrossingEdges {
   std::vector<Edge> matched;    ///< oriented u in L, v in R
   std::vector<Edge> unmatched;  ///< oriented u in R, v in L
+  std::vector<char> free;       ///< free[v]: v is M-free (one per vertex)
 };
 
 CrossingEdges crossing_edges(const GraphView& g, const Matching& m,
@@ -62,6 +70,15 @@ CrossingEdges crossing_edges(const GraphView& g, const Matching& m,
 /// build touches only the edges its thresholds admit: bucket a of
 /// `matched` holds w in ((a-1)U, aU], bucket b of `unmatched` holds
 /// w in [bU, (b+1)U). Buckets above `umax` are discarded (out of class).
+///
+/// The gap index serves the between-layer edges. A vertex has at most one
+/// matched edge, so it gets one tag: a if its matched edge lies in
+/// `matched[a]`, 0 if it is M-free, none otherwise (matched by a
+/// non-crossing or out-of-window edge: such a vertex is in no layer). The
+/// unmatched bucket edges with two tagged endpoints are grouped by
+/// (tag(u), b, tag(v)), bucket order kept inside a group; only non-empty
+/// groups are stored, under sorted keys. Gap t of a pair is then exactly
+/// the group (tau_a[t], tau_b[t], tau_a[t+1]).
 struct BucketedEdges {
   Weight unit = 1;
   std::vector<std::vector<Edge>> matched;    ///< index = units (1-based)
@@ -71,26 +88,40 @@ struct BucketedEdges {
   /// pairs_for_values.
   std::vector<int> matched_values() const;
   std::vector<int> unmatched_values() const;
+
+  /// The unmatched edges of bucket b from a vertex tagged `tag_u` to one
+  /// tagged `tag_v`, in bucket order; empty for any argument outside
+  /// [0, umax] (b outside [1, umax]).
+  std::span<const Edge> gap(int tag_u, int b, int tag_v) const;
+
+  /// Group i's key, ascending: (tag_u * (umax + 1) + b) * (umax + 1) +
+  /// tag_v. Its edges are grouped[group_begin[i] .. group_begin[i + 1]).
+  std::vector<std::uint64_t> group_keys;
+  std::vector<std::uint32_t> group_begin;  ///< one per group, plus the end
+  std::vector<Edge> grouped;               ///< index edges, group by group
 };
 
 BucketedEdges bucket_edges(const CrossingEdges& edges, Weight unit, int umax);
 
 /// Builds the layered graphs of many tau pairs, reusing its scratch from
-/// build to build: presence and compressed-id slots indexed by t*n + v,
-/// allocated by the first build that gets past the bucket-occupancy
-/// reject, grown to the deepest pair seen, and reset between builds by
-/// bumping an epoch stamp rather than by clearing. A class keeps one
-/// builder for all its (parametrization, pair) builds, so its ~480 builds
-/// share one O(max_layers * n) block. One build runs at a time per
-/// builder (a build's gap filtering may read the scratch from several pool
-/// threads); builders of different classes are independent.
+/// build to build. A build costs O(k log groups) until it knows whether
+/// the pair is useful, and O(output) after: the gaps are read straight
+/// from the gap index, and only a useful build copies its X edges and
+/// interns its vertices, in compressed-id slots indexed by t*n + v,
+/// allocated by the first useful build, grown to the deepest pair seen,
+/// and reset between builds by bumping an epoch stamp rather than by
+/// clearing. A class keeps one builder for all its (parametrization,
+/// pair) builds, so its ~480 builds share one O(max_layers * n) block.
+/// Builders of different classes are independent; one builder runs one
+/// build at a time.
 class LayeredGraphBuilder {
  public:
   /// The layered graph L' for one good pair over pre-bucketed edges, or
-  /// nullopt when it has no between-layer edge (the pair is useless). The
-  /// per-gap candidate filtering runs on the runtime thread pool selected
-  /// by `rt` when the gaps hold enough edges; the output is identical for
-  /// any thread count and any earlier use of the builder.
+  /// nullopt when it has no between-layer edge (the pair is useless).
+  /// The build runs on the calling thread. `m` and `rt` are unread (M
+  /// enters through the buckets' vertex tags) and kept so existing
+  /// callers compile. The output is identical for any earlier use of the
+  /// builder.
   std::optional<LayeredGraph> build(const BucketedEdges& edges,
                                     const Matching& m,
                                     const Parametrization& par,
@@ -99,19 +130,13 @@ class LayeredGraphBuilder {
 
  private:
   struct Slot {
-    std::uint32_t present = 0;   ///< == epoch_: vertex has a kept X edge
     std::uint32_t interned = 0;  ///< == epoch_: `id` is this build's
     std::uint32_t id = 0;        ///< compressed id
-  };
-  struct RawEdge {
-    std::size_t tu, tv;
-    Vertex u, v;
-    Weight w;
   };
 
   std::vector<Slot> slots_;
   std::uint32_t epoch_ = 0;
-  std::vector<RawEdge> xedges_, yedges_;
+  std::vector<std::span<const Edge>> gaps_;
 };
 
 /// One-shot form of LayeredGraphBuilder::build: a useless pair comes back

@@ -1,8 +1,11 @@
 // Algorithm 4 (Theorem 4.8): augmentations for a single augmentation class.
 //
-// For a fixed class weight W: draw a random L/R bipartition, and for every
-// good (tau^A, tau^B) pair build the layered graph L', solve it with the
-// unweighted bipartite black box, extract the augmenting paths of
+// For a fixed class weight W: draw a random L/R bipartition, bucket the
+// crossing edges by quantized weight (with the gap index of
+// layered_graph.h), and for every good (tau^A, tau^B) pair build the
+// layered graph L' — a useless pair is rejected after O(k) index lookups
+// and a useful one costs O(|L'|) — solve it with the unweighted bipartite
+// black box, extract the augmenting paths of
 // M' ∪ M_{L'}, translate them back to G, decompose every translated walk
 // (Lemma 4.11) and keep its best-gain component. The returned collection
 // is vertex-disjoint and every element has strictly positive gain.
@@ -53,7 +56,9 @@ struct SingleClassOptions {
   /// are cycle-equivalent — they can improve a perfect matching, which is
   /// exactly the capability the ablation is meant to remove).
   bool enable_cycles = true;
-  /// Host-parallelism knob for the layered-graph builds.
+  /// Unread: a layered build costs O(output) and runs on the class's own
+  /// thread. Kept so callers that set it (main_alg, perfbench's replay)
+  /// compile unchanged.
   runtime::RuntimeConfig runtime;
 };
 

@@ -99,7 +99,11 @@ class PairEmitter {
   /// Counts and keeps `cand` if it is good; a repeat is counted but not
   /// kept.
   void offer(const TauPair& cand) {
-    if (!good_pair(cand, max_layers_, umax_)) return;
+    if (good_pair(cand, max_layers_, umax_)) keep(cand);
+  }
+
+  /// offer() for a candidate the caller has already found good.
+  void keep(const TauPair& cand) {
     ++emitted_;
     if (2 * (pairs_.size() + 1) > slots_.size()) grow();
     std::uint32_t* slot = find(cand);
@@ -231,18 +235,28 @@ std::vector<TauPair> pairs_for_values(const std::vector<int>& a_vals_in,
   const BoundedSampler pick_b(b_vals.size());
   TauPair cand;
 
+  // Priorities 4 and 5 draw from the value sets, so a candidate meets
+  // Table 1 (A)-(D) by construction: its depth is in range, a_ends holds
+  // 0 and the a_vals, and a_vals and b_vals hold units in [1, umax]. Only
+  // the budget (E) and the gain (F) are tested, on sums kept as the values
+  // are drawn, and only a good candidate is hashed and kept.
+  auto good_sums = [umax](int sum_a, int sum_b) {
+    return sum_b <= umax && sum_b - sum_a >= 1;
+  };
+
   // --- Priority 4: random samples of the general 3-layer space. ---
   if (cfg.max_layers >= 3) {
     const std::size_t budget = (cfg.max_pairs - out.emitted()) / 2;
     cand.tau_a.assign(3, 0);
     cand.tau_b.assign(2, 0);
     for (std::size_t trial = 0; trial < 6 * budget; ++trial) {
-      cand.tau_a[0] = a_ends[pick_end(rng)];
-      cand.tau_a[1] = a_vals[pick_a(rng)];
-      cand.tau_a[2] = a_ends[pick_end(rng)];
-      cand.tau_b[0] = b_vals[pick_b(rng)];
-      cand.tau_b[1] = b_vals[pick_b(rng)];
-      out.offer(cand);
+      const int a0 = cand.tau_a[0] = a_ends[pick_end(rng)];
+      const int a1 = cand.tau_a[1] = a_vals[pick_a(rng)];
+      const int a2 = cand.tau_a[2] = a_ends[pick_end(rng)];
+      const int b0 = cand.tau_b[0] = b_vals[pick_b(rng)];
+      const int b1 = cand.tau_b[1] = b_vals[pick_b(rng)];
+      if (!good_sums(a0 + a1 + a2, b0 + b1)) continue;
+      out.keep(cand);
       if (out.full()) break;
     }
   }
@@ -257,11 +271,14 @@ std::vector<TauPair> pairs_for_values(const std::vector<int>& a_vals_in,
       cand.tau_b.resize(layers - 1);
       cand.tau_a.front() = a_ends[pick_end(rng)];
       cand.tau_a.back() = a_ends[pick_end(rng)];
+      int sum_a = cand.tau_a.front() + cand.tau_a.back();
       for (std::size_t t = 1; t + 1 < layers; ++t) {
-        cand.tau_a[t] = a_vals[pick_a(rng)];
+        sum_a += cand.tau_a[t] = a_vals[pick_a(rng)];
       }
-      for (int& b : cand.tau_b) b = b_vals[pick_b(rng)];
-      out.offer(cand);
+      int sum_b = 0;
+      for (int& b : cand.tau_b) sum_b += b = b_vals[pick_b(rng)];
+      if (!good_sums(sum_a, sum_b)) continue;
+      out.keep(cand);
       if (out.full()) break;
     }
   }

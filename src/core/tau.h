@@ -65,7 +65,10 @@ std::vector<TauPair> generate_good_pairs(const TauConfig& cfg, Rng& rng);
 /// non-uniform spaces. Generation stops once cfg.max_pairs good pairs have
 /// been emitted, duplicates included; the sampling budgets are measured in
 /// the same raw count. The returned list is deduplicated on every exit
-/// path (first occurrence kept, priority order preserved).
+/// path (first occurrence kept, priority order preserved). A sampled
+/// candidate is tested against Table 1 (E) and (F) on sums kept as its
+/// values are drawn, the other conditions holding by construction, and
+/// only a good one is stored and hashed.
 std::vector<TauPair> pairs_for_values(const std::vector<int>& a_vals,
                                       const std::vector<int>& b_vals,
                                       const TauConfig& cfg, Rng& rng);

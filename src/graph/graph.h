@@ -33,6 +33,10 @@ class Graph {
   /// Appends an edge (same validation as the constructor).
   void add_edge(Vertex u, Vertex v, Weight w);
 
+  /// Room for `m` edges in all, so that many add_edge calls never move
+  /// the list.
+  void reserve(std::size_t m) { edges_.reserve(m); }
+
   /// Total weight of all edges.
   Weight total_weight() const;
 

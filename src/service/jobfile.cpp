@@ -55,6 +55,9 @@ api::GenSpec parse_gen(const util::JsonValue& v) {
     bad("unknown generator '" + gen.generator +
         "' (known: " + join(api::known_generators()) + ")");
   }
+  if (const std::string error = api::gen_spec_error(gen); !error.empty()) {
+    bad("\"gen\" " + error);
+  }
   if (gen.generator == "hard-planted-augs" &&
       (gen.beta < 0.0 || gen.beta > 1.0)) {
     bad("\"gen\" \"beta\" expects a density in [0,1]");

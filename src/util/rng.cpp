@@ -35,9 +35,7 @@ BoundedSampler::BoundedSampler(std::uint64_t bound)
     : bound_(bound), threshold_(0), magic_(0) {
   WMATCH_REQUIRE(bound > 0, "BoundedSampler requires positive bound");
   threshold_ = (~bound + 1) % bound;  // same threshold as next_below
-  // ceil(2^128 / bound); wraps to 0 for bound == 1, where every
-  // remainder is 0 anyway.
-  magic_ = ~U128{0} / bound + 1;
+  magic_ = ~std::uint64_t{0} / bound;
 }
 
 std::int64_t Rng::next_int(std::int64_t lo, std::int64_t hi) {

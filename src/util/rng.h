@@ -71,10 +71,11 @@ class Rng {
 };
 
 /// Rng::next_below for one fixed bound, with the per-call work hoisted:
-/// the rejection threshold is computed once, and the remainder uses
-/// Lemire's exact direct-remainder method (M = ceil(2^128 / bound), then
-/// r mod bound = high 64 bits of ((M * r) mod 2^128) * bound, exact for
-/// every 64-bit r and every bound < 2^64) instead of a hardware divide.
+/// the rejection threshold is computed once, and the remainder replaces
+/// the hardware divide by a multiply: with M = floor((2^64 - 1) / bound),
+/// q = high 64 bits of r * M is floor(r / bound) or one less, so
+/// r - q * bound lies in [0, 2 bound) and one conditional subtraction
+/// makes it r mod bound, exactly, for every 64-bit r and bound >= 1.
 /// Draws the same values as next_below(bound) and advances the generator
 /// identically, so a loop may swap one for the other without moving any
 /// downstream result.
@@ -93,17 +94,16 @@ class BoundedSampler {
   __extension__ using U128 = unsigned __int128;
 
   std::uint64_t fast_mod(std::uint64_t r) const {
-    const U128 low = magic_ * r;  // wraps mod 2^128 by design
-    const auto lo = static_cast<std::uint64_t>(low);
-    const auto hi = static_cast<std::uint64_t>(low >> 64);
-    const U128 lo_part = static_cast<U128>(lo) * bound_;
-    const U128 hi_part = static_cast<U128>(hi) * bound_;
-    return static_cast<std::uint64_t>((hi_part + (lo_part >> 64)) >> 64);
+    const auto q =
+        static_cast<std::uint64_t>((static_cast<U128>(r) * magic_) >> 64);
+    std::uint64_t rem = r - q * bound_;
+    if (rem >= bound_) rem -= bound_;
+    return rem;
   }
 
   std::uint64_t bound_;
   std::uint64_t threshold_;
-  U128 magic_;
+  std::uint64_t magic_;
 };
 
 }  // namespace wmatch

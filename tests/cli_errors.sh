@@ -77,6 +77,21 @@ expect_error 2 "--epsilon must be in (0,1), got 1" \
   bench --algo=greedy --gen=path --n=8 --epsilon=0.1,1 --seeds=1
 expect_error 2 "--delta must be in \[0,1)" \
   bench --algo=greedy --gen=path --n=8 --delta=-0.5 --seeds=1
+# a shape the family cannot realize is a bad flag value too, rejected
+# before generation with a message that names the flag and no source file
+expect_error 2 "--m=1000 is more edges than erdos_renyi can place on n=5 vertices (at most 10)" \
+  solve --algo=greedy --gen=erdos_renyi --n=5 --m=1000
+expect_error 2 "--m=7 is more edges than bipartite can place on n=5 vertices (at most 6)" \
+  bench --algo=greedy --gen=bipartite --n=5 --m=7 --seeds=1
+expect_error 2 "--n=1 is fewer than the 2 vertices path needs" \
+  solve --algo=greedy --gen=path --n=1
+expect_error 2 "--n=3 must exceed attach=3 for barabasi_albert" \
+  solve --algo=greedy --gen=barabasi_albert --n=3 --attach=3
+if "$bin" solve --algo=greedy --gen=erdos_renyi --n=5 --m=1000 2>&1 |
+    grep -q '\.cpp'; then
+  echo "FAIL: the too-many-edges message names a source file"
+  failures=$((failures + 1))
+fi
 expect_error 2 "unknown bench preset 'e99'" bench --preset=e99
 # the diagnostic must advertise the full preset list (e10/e11 ported in
 # ISSUE 9, e12/e13 in ISSUE 10)
@@ -121,6 +136,10 @@ printf '{"algo":"reduction-hk","gen":"path","delta":5}\n' \
   > "$tmpdir/baddelta.jsonl"
 expect_error 2 'baddelta.jsonl:1: "delta" must be in \[0,1)' \
   batch --file="$tmpdir/baddelta.jsonl"
+printf '{"algo":"greedy","gen":{"generator":"erdos_renyi","n":5,"m":1000}}\n' \
+  > "$tmpdir/toomany.jsonl"
+expect_error 2 'toomany.jsonl:1: "gen" m=1000 is more edges than erdos_renyi' \
+  batch --file="$tmpdir/toomany.jsonl"
 expect_error 2 "requires --listen=PORT or --stdin" serve
 
 # serve --listen / loadgen (ISSUE 8): malformed ports, addresses, and

@@ -306,6 +306,55 @@ LayeredGraph reference_build(const core::BucketedEdges& edges,
   return out;
 }
 
+/// Reference for bucket_edges: the buckets as before the gap index, and
+/// the index by brute force — every (tag_u, b, tag_v) triple in key order
+/// (tags 0..umax, b 1..umax), each group the bucket-b edges whose
+/// endpoints carry those tags, where a vertex's tag is a if its M edge is
+/// a crossing edge of matched bucket a, 0 if it is M-free, and none
+/// otherwise.
+core::BucketedEdges reference_bucket_edges(const CrossingEdges& edges,
+                                           Weight unit, int umax) {
+  core::BucketedEdges out;
+  out.unit = unit;
+  const auto buckets = static_cast<std::size_t>(umax) + 1;
+  out.matched.assign(buckets, {});
+  out.unmatched.assign(buckets, {});
+  std::vector<int> tag(edges.free.size(), -1);
+  for (std::size_t v = 0; v < tag.size(); ++v) {
+    if (edges.free[v]) tag[v] = 0;
+  }
+  for (const Edge& e : edges.matched) {
+    const Weight a = (e.w + unit - 1) / unit;
+    if (a < 1 || a > umax) continue;
+    out.matched[static_cast<std::size_t>(a)].push_back(e);
+    tag[e.u] = tag[e.v] = static_cast<int>(a);
+  }
+  for (const Edge& e : edges.unmatched) {
+    const Weight b = e.w / unit;
+    if (b >= 1 && b <= umax) {
+      out.unmatched[static_cast<std::size_t>(b)].push_back(e);
+    }
+  }
+  const auto s = static_cast<std::uint64_t>(umax) + 1;
+  for (int tu = 0; tu <= umax; ++tu) {
+    for (int b = 1; b <= umax; ++b) {
+      for (int tv = 0; tv <= umax; ++tv) {
+        const std::size_t begin = out.grouped.size();
+        for (const Edge& e : out.unmatched[static_cast<std::size_t>(b)]) {
+          if (tag[e.u] == tu && tag[e.v] == tv) out.grouped.push_back(e);
+        }
+        if (out.grouped.size() == begin) continue;
+        out.group_keys.push_back((static_cast<std::uint64_t>(tu) * s +
+                                  static_cast<std::uint64_t>(b)) * s +
+                                 static_cast<std::uint64_t>(tv));
+        out.group_begin.push_back(static_cast<std::uint32_t>(begin));
+      }
+    }
+  }
+  out.group_begin.push_back(static_cast<std::uint32_t>(out.grouped.size()));
+  return out;
+}
+
 template <typename T>
 bool same_span(std::span<const T> a, std::span<const T> b) {
   return std::equal(a.begin(), a.end(), b.begin(), b.end());
@@ -359,17 +408,15 @@ Matching greedy_matching(const GraphView& g) {
 
 /// Builds every pair pairs_for_values yields for `g` under two
 /// parametrizations, with `builder` and with the reference, and compares.
-/// Returns the number of builds whose gaps held at least
-/// runtime::kParallelWorkCutoff candidate edges (the pool-filtered ones).
+/// Returns the number of builds whose gap buckets held at least
+/// runtime::kParallelWorkCutoff candidate edges (the large ones).
 std::size_t check_against_reference(core::LayeredGraphBuilder& builder,
                                     const GraphView& g, Weight w_class,
-                                    const core::TauConfig& tcfg,
-                                    std::size_t threads, Rng& rng,
+                                    const core::TauConfig& tcfg, Rng& rng,
                                     std::size_t& useful) {
   const Matching m = greedy_matching(g);
   const std::size_t n = g.num_vertices();
-  const runtime::RuntimeConfig rt{threads};
-  std::size_t pool_sized = 0;
+  std::size_t large = 0;
   for (int rep = 0; rep < 2; ++rep) {
     const Parametrization par = core::random_parametrization(n, rng);
     const core::BucketedEdges buckets =
@@ -383,20 +430,20 @@ std::size_t check_against_reference(core::LayeredGraphBuilder& builder,
       for (int b : tau.tau_b) {
         gap_work += buckets.unmatched[static_cast<std::size_t>(b)].size();
       }
-      if (gap_work >= runtime::kParallelWorkCutoff) ++pool_sized;
+      if (gap_work >= runtime::kParallelWorkCutoff) ++large;
       const LayeredGraph want = reference_build(buckets, m, par, tau, n);
       const std::optional<LayeredGraph> got =
-          builder.build(buckets, m, par, tau, n, rt);
+          builder.build(buckets, m, par, tau, n);
       EXPECT_EQ(got.has_value(), want.num_between_edges > 0);
       if (got) {
         ++useful;
         EXPECT_TRUE(same_layered(*got, want));
       }
       EXPECT_TRUE(same_layered(
-          core::build_layered_graph(buckets, m, par, tau, n, rt), want));
+          core::build_layered_graph(buckets, m, par, tau, n), want));
     }
   }
-  return pool_sized;
+  return large;
 }
 
 TEST(LayeredGraphBuilderTest, MatchesReferenceOnRandomInstances) {
@@ -416,17 +463,16 @@ TEST(LayeredGraphBuilderTest, MatchesReferenceOnRandomInstances) {
     core::TauConfig tcfg;
     tcfg.max_layers = 2 + static_cast<std::size_t>(inst) % 7;
     tcfg.max_pairs = 1500;
-    check_against_reference(builder, g, 40 + 30 * inst, tcfg, 1, rng,
-                            useful);
+    check_against_reference(builder, g, 40 + 30 * inst, tcfg, rng, useful);
   }
   EXPECT_GT(useful, 100u);
 }
 
 TEST(LayeredGraphBuilderTest, MatchesReferenceOnPoolSizedBuilds) {
   // Narrow weights (unit 1, 4 buckets of ~2500 crossing edges) put over
-  // 4096 candidate edges into the gaps of every pair with two or more
-  // gaps, so those builds filter on the thread pool; the output must not
-  // depend on the thread count.
+  // runtime::kParallelWorkCutoff candidate edges into the gap buckets of
+  // every pair with two or more gaps: large builds, still on the calling
+  // thread, must match the reference too.
   Rng rng(22);
   const std::size_t n = 1000;
   Graph raw = gen::erdos_renyi(n, 20000, rng);
@@ -436,14 +482,174 @@ TEST(LayeredGraphBuilderTest, MatchesReferenceOnPoolSizedBuilds) {
   tcfg.max_layers = 8;
   tcfg.max_pairs = 300;
   core::LayeredGraphBuilder builder;
-  for (std::size_t threads : {1, 4}) {
-    std::size_t useful = 0;
-    Rng pass_rng(23);
-    const std::size_t pool_sized = check_against_reference(
-        builder, g, 8, tcfg, threads, pass_rng, useful);
-    EXPECT_GT(pool_sized, 0u) << "threads " << threads;
-    EXPECT_GT(useful, 0u) << "threads " << threads;
+  std::size_t useful = 0;
+  Rng pass_rng(23);
+  const std::size_t large =
+      check_against_reference(builder, g, 8, tcfg, pass_rng, useful);
+  EXPECT_GT(large, 0u);
+  EXPECT_GT(useful, 0u);
+}
+
+/// The gap-index edge cases, on one instance with unit 4 and umax 4. R
+/// vertices 0..5, L vertices 6..13; M holds (1,7) w6 (bucket 2), (2,8)
+/// w10 (bucket 3), (3,4) w6 between two R vertices, (5,11) w30 (out of
+/// the window) and (12,13) w6 between two L vertices; 0, 6, 9 and 10 are
+/// free. Every other R-L pair is an unmatched edge of weight 5 (bucket 1).
+class GapIndexFixture : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kN = 14;
+  static constexpr Weight kUnit = 4;
+  static constexpr int kUmax = 4;
+
+  GapIndexFixture() : m_(kN), par_(kN, 0) {
+    Graph g(kN);
+    const Edge matched[] = {
+        {1, 7, 6}, {2, 8, 10}, {3, 4, 6}, {5, 11, 30}, {12, 13, 6}};
+    for (const Edge& e : matched) {
+      g.add_edge(e.u, e.v, e.w);
+      m_.add(e);
+    }
+    for (Vertex r = 0; r < 6; ++r) {
+      par_[r] = 1;
+      for (Vertex l = 6; l < kN; ++l) {
+        if (m_.mate(r) != l) g.add_edge(r, l, 5);
+      }
+    }
+    g_ = freeze(std::move(g));
+    buckets_ = core::bucket_edges(core::crossing_edges(g_, m_, par_), kUnit,
+                                  kUmax);
   }
+
+  /// The builder's answer, checked field for field against the reference
+  /// (nullopt exactly when the reference is useless).
+  std::optional<LayeredGraph> build_checked(const TauPair& tau) {
+    const LayeredGraph want = reference_build(buckets_, m_, par_, tau, kN);
+    std::optional<LayeredGraph> got =
+        builder_.build(buckets_, m_, par_, tau, kN);
+    EXPECT_EQ(got.has_value(), want.num_between_edges > 0);
+    if (got) {
+      EXPECT_TRUE(same_layered(*got, want));
+    }
+    return got;
+  }
+
+  /// Original ids of the vertices in layer `layer` (1-based).
+  static std::vector<Vertex> layer(const LayeredGraph& lg,
+                                   std::size_t layer) {
+    std::vector<Vertex> out;
+    for (std::size_t i = 0; i < lg.original.size(); ++i) {
+      if (lg.layer_of[i] == layer) out.push_back(lg.original[i]);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  GraphView g_;
+  Matching m_;
+  Parametrization par_;
+  core::BucketedEdges buckets_;
+  core::LayeredGraphBuilder builder_;
+};
+
+TEST_F(GapIndexFixture, EmptyMatchedBucketRejectsDespiteANonEmptyGap) {
+  // Gap 0, free R -> L matched in bucket 2, has edges; matched bucket 1
+  // is empty, so the pair is useless whatever its other gaps hold.
+  ASSERT_FALSE(buckets_.gap(0, 1, 2).empty());
+  ASSERT_TRUE(buckets_.matched[1].empty());
+  EXPECT_FALSE(build_checked({{0, 2, 1}, {1, 1}}));
+  EXPECT_FALSE(build_checked({{0, 2, 1, 0}, {1, 1, 1}}));
+}
+
+TEST_F(GapIndexFixture, IntermediateZeroAdmitsNoVertex) {
+  // Free R -> free L edges exist (group (0, 1, 0)), but an intermediate
+  // layer with threshold 0 keeps no vertex: only gap 0 survives here.
+  ASSERT_FALSE(buckets_.gap(0, 1, 0).empty());
+  EXPECT_FALSE(build_checked({{0, 0, 0}, {1, 1}}));
+  const auto lg = build_checked({{0, 2, 0, 0}, {1, 1, 1}});
+  ASSERT_TRUE(lg);
+  EXPECT_TRUE(layer(*lg, 3).empty());
+  EXPECT_TRUE(layer(*lg, 4).empty());
+}
+
+TEST_F(GapIndexFixture, EndpointZeroAdmitsOnlyFreeVertices) {
+  const auto lg = build_checked({{0, 2, 0}, {1, 1}});
+  ASSERT_TRUE(lg);
+  EXPECT_EQ(layer(*lg, 1), (std::vector<Vertex>{0}));
+  EXPECT_EQ(layer(*lg, 2), (std::vector<Vertex>{1, 7}));
+  EXPECT_EQ(layer(*lg, 3), (std::vector<Vertex>{6, 9, 10}));
+}
+
+TEST_F(GapIndexFixture, PositiveEndpointAdmitsOnlyItsBucketsMatchedVertices) {
+  const auto first = build_checked({{3, 2, 0}, {1, 1}});
+  ASSERT_TRUE(first);
+  EXPECT_EQ(layer(*first, 1), (std::vector<Vertex>{2}));
+  const auto last = build_checked({{0, 2, 3}, {1, 1}});
+  ASSERT_TRUE(last);
+  EXPECT_EQ(layer(*last, 3), (std::vector<Vertex>{8}));
+}
+
+TEST_F(GapIndexFixture, VerticesMatchedOutsideTheWindowNeverAppear) {
+  // Every pair of 2-4 layers over thresholds 0..5 and 1..2: same graph as
+  // the reference, and no vertex matched by a non-crossing edge (3, 4, 12,
+  // 13) or an out-of-window edge (5, 11) in any layer.
+  std::size_t useful = 0;
+  for (std::size_t layers = 2; layers <= 4; ++layers) {
+    TauPair tau;
+    tau.tau_a.assign(layers, 0);
+    tau.tau_b.assign(layers - 1, 1);
+    for (;;) {
+      if (const auto lg = build_checked(tau)) {
+        ++useful;
+        for (Vertex v : lg->original) {
+          EXPECT_TRUE(v != 3 && v != 4 && v != 5 && v != 11 && v != 12 &&
+                      v != 13)
+              << "vertex " << v;
+        }
+      }
+      // Next tau in odometer order: a over 0..5, then b over 1..2.
+      std::size_t i = 0;
+      for (; i < layers; ++i) {
+        if (++tau.tau_a[i] <= 5) break;
+        tau.tau_a[i] = 0;
+      }
+      if (i < layers) continue;
+      std::size_t j = 0;
+      for (; j + 1 < layers; ++j) {
+        if (++tau.tau_b[j] <= 2) break;
+        tau.tau_b[j] = 1;
+      }
+      if (j + 1 == layers) break;
+    }
+  }
+  EXPECT_GT(useful, 10u);
+}
+
+TEST(BucketEdges, GapIndexMatchesBruteForce) {
+  // Random instances under greedy matchings (free vertices, matched
+  // buckets, out-of-window matched edges) and the ci instance's classes.
+  Rng rng(31);
+  for (int inst = 0; inst < 6; ++inst) {
+    const std::size_t n = 30 + 40 * static_cast<std::size_t>(inst);
+    Graph raw = gen::erdos_renyi(n, 4 * n, rng);
+    const GraphView g = freeze(
+        gen::assign_weights(raw, gen::WeightDist::kUniform, 100, rng));
+    const Matching m = greedy_matching(g);
+    const CrossingEdges ce =
+        core::crossing_edges(g, m, core::random_parametrization(n, rng));
+    for (const auto& [unit, umax] :
+         {std::pair<Weight, int>{5, 16}, {12, 4}, {1, 200}}) {
+      const core::BucketedEdges got = core::bucket_edges(ce, unit, umax);
+      const core::BucketedEdges want = reference_bucket_edges(ce, unit, umax);
+      EXPECT_EQ(got.matched, want.matched);
+      EXPECT_EQ(got.unmatched, want.unmatched);
+      EXPECT_EQ(got.group_keys, want.group_keys);
+      EXPECT_EQ(got.group_begin, want.group_begin);
+      EXPECT_EQ(got.grouped, want.grouped);
+    }
+  }
+  const bench::hot_path::Inputs in = bench::hot_path::ci_bipartite_inputs();
+  EXPECT_EQ(bench::hot_path::buckets_checksum(in, core::bucket_edges),
+            bench::hot_path::buckets_checksum(in, reference_bucket_edges));
 }
 
 TEST(LayeredGraphBuilderTest, HotPathKernelChecksumMatchesReference) {

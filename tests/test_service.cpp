@@ -276,6 +276,47 @@ TEST(JobFile, OutOfRangeEpsilonOrDeltaIsALineParseError) {
   EXPECT_EQ(job.spec.delta, 0.0);
 }
 
+TEST(JobFile, ShapeTheFamilyCannotPlaceIsALineParseError) {
+  // Rejected where the line is parsed, naming the key and no source file
+  // (the generator's own requirement used to fail with its source path).
+  service::JobSpec job;
+  try {
+    service::parse_job_line(
+        R"({"algo":"greedy","gen":{"generator":"erdos_renyi","n":5,"m":1000}})",
+        "jobs.jsonl", 2, 0, &job);
+    ADD_FAILURE() << "accepted m=1000 on n=5";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "jobs.jsonl:2: \"gen\" m=1000 is more edges than erdos_renyi "
+              "can place on n=5 vertices (at most 10)");
+  }
+  ASSERT_TRUE(service::parse_job_line(  // the largest legal m
+      R"({"algo":"greedy","gen":{"generator":"erdos_renyi","n":5,"m":10}})",
+      "jobs.jsonl", 1, 0, &job));
+}
+
+TEST(Scheduler, ShapeTheFamilyCannotPlaceFailsTheJobWithoutASourcePath) {
+  // A GenSpec built in code skips the line parser; the job fails with the
+  // same text generate_instance throws, and the batch goes on.
+  service::JobSpec bad;
+  bad.id = "bad";
+  bad.solver = "greedy";
+  bad.source = small_gen("bipartite", 5, 7);
+  service::JobSpec good = bad;
+  good.id = "good";
+  good.source = small_gen("bipartite", 5, 6);
+  const service::BatchResult batch = service::Scheduler().run({bad, good});
+  ASSERT_EQ(batch.results.size(), 2u);
+  EXPECT_FALSE(batch.results[0].ok());
+  EXPECT_NE(batch.results[0].error.find(
+                "m=7 is more edges than bipartite can place on n=5 vertices "
+                "(at most 6)"),
+            std::string::npos)
+      << batch.results[0].error;
+  EXPECT_EQ(batch.results[0].error.find(".cpp"), std::string::npos);
+  EXPECT_TRUE(batch.results[1].ok());
+}
+
 // ---- cache keys ----
 
 TEST(CacheKey, DistinguishesEveryGenSpecAxisAndHashesFiles) {

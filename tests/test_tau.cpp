@@ -319,8 +319,8 @@ TEST(Tau, PairsForValuesMatchesReference) {
     for (std::size_t cap : caps) {
       TauConfig cfg;
       cfg.max_pairs = cap;
-      cfg.max_layers = 2 + (cap + seed) % 7;  // 2..8
-      if (cap == 4000) cfg.max_layers = 2 + seed % 7;
+      cfg.max_layers = 2 + (cap + seed) % 11;  // 2..12
+      if (cap == 4000) cfg.max_layers = 2 + seed % 11;
       if (seed == 4) cfg.granularity = 0.2;  // a smaller unit budget
       const auto a_vals = random_values(values_rng, 1 + cap % 6, 18);
       const auto b_vals = random_values(values_rng, 1 + cap % 5, 18);
