@@ -7,10 +7,12 @@
 //                   (over the buckets above: a class pays both)
 //   blossom         blossom_max_weight, weighted and max-cardinality,
 //                   on the stream workload's random-arrival T set
+//   hk-solve        a full hopcroft_karp solve of the serve workload's
+//                   exact-hk instance (bipartite n=2000 m=8000)
 // (their checksums equal the reference implementations', asserted by
-// tests/test_tau.cpp, tests/test_layered_graph.cpp and
-// tests/test_blossom.cpp), and for the layout primitives the immutable
-// data plane introduced —
+// tests/test_tau.cpp, tests/test_layered_graph.cpp, tests/test_blossom.cpp
+// and tests/test_hopcroft_karp.cpp), and for the layout primitives the
+// immutable data plane introduced —
 //   csr-neighbor-scan   (frozen CSR slot arrays, one full traversal)
 //   hk-bfs-bitset       (the word-parallel HK layering pass; its
 //      dist labels are checked against a serial BFS by
@@ -250,7 +252,8 @@ int run_kernels(const Args& args) {
   std::cout << "=== micro kernels / hot paths + data-plane layout ===\n"
             << "Tau-pair enumeration, edge bucketing and layered-graph "
                "builds over the ci bipartite instance's classes; Blossom on "
-               "the stream workload's random-arrival T set; a frozen-CSR "
+               "the stream workload's random-arrival T set; Hopcroft-Karp on "
+               "a serve exact-hk instance; a frozen-CSR "
                "scan; the word-parallel HK BFS layering pass; arena-backed "
                "fork scratch vs fresh heap vectors. Median of 9 reps, "
                "informational wall-ms.\n\n";
@@ -263,6 +266,7 @@ int run_kernels(const Args& args) {
 
   const bench::hot_path::Inputs hot = bench::hot_path::ci_bipartite_inputs();
   const GraphView t_set = bench::hot_path::stream_t_set();
+  const api::Instance serve_hk = bench::hot_path::serve_hk_instance();
 
   std::vector<KernelResult> results;
   results.push_back(run_kernel("tau-pairs", [&] {
@@ -282,6 +286,13 @@ int run_kernels(const Args& args) {
   }));
   results.push_back(run_kernel("blossom", [&] {
     return bench::hot_path::blossom_checksum(t_set, exact::blossom_max_weight);
+  }));
+  results.push_back(run_kernel("hk-solve", [&] {
+    return bench::hot_path::hk_solve_checksum(
+        serve_hk, [&](const GraphView& g, const std::vector<char>& side) {
+          return exact::hopcroft_karp(g, side, 0, nullptr,
+                                      runtime::RuntimeConfig{args.threads});
+        });
   }));
   results.push_back(run_kernel("csr-neighbor-scan",
                                [&] { return csr_neighbor_scan(scan_view); }));
@@ -308,7 +319,8 @@ int run_kernels(const Args& args) {
   std::cout << "\nExpected shape: tau-pairs, buckets and layered-build are "
                "the reduction's per-class scaffolding (the black box is not "
                "in them); blossom is the random-arrival algorithms' exact "
-               "step; arena-fork-scratch amortizes away heap-fork-scratch's "
+               "step and hk-solve the serve workload's exact-hk solve; "
+               "arena-fork-scratch amortizes away heap-fork-scratch's "
                "per-fork allocations.\n\n";
   return 0;
 }

@@ -8,7 +8,8 @@
 // matching, cut into the reduction's weight-class ladder; each class gets
 // its own random parametrization, bucketed crossing edges and value sets.
 // The Blossom input is the set T that rand_arr_matching hands to
-// blossom_max_weight on the stream workload's erdos_renyi graph.
+// blossom_max_weight on the stream workload's erdos_renyi graph, and the
+// Hopcroft-Karp input is one of the serve workload's exact-hk instances.
 // bench_micro_kernels times the library over them; the tests feed the same
 // inputs to the reference implementations and require equal checksums.
 #pragma once
@@ -210,6 +211,32 @@ std::uint64_t blossom_checksum(const GraphView& g, SolveFn&& solve) {
     h = fold(h, m.size());
   }
   return h;
+}
+
+/// The serve workload's first exact-hk instance: bipartite n=2000 m=8000,
+/// seed 1000 (uniform weights; Hopcroft-Karp reads only the edges).
+inline api::Instance serve_hk_instance() {
+  api::GenSpec spec;
+  spec.generator = "bipartite";
+  spec.n = 2000;
+  spec.m = 8000;
+  spec.seed = 1000;
+  return api::generate_instance(spec);
+}
+
+/// Folds the edges, size and phase count of a full Hopcroft-Karp solve.
+/// `solve(g, side)` returns an exact::HopcroftKarpResult: hopcroft_karp
+/// or a reference with that result.
+template <typename SolveFn>
+std::uint64_t hk_solve_checksum(const api::Instance& inst, SolveFn&& solve) {
+  const auto r = solve(inst.graph, inst.side);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const Edge& e : r.matching.edges()) {
+    h = fold(h, e.u);
+    h = fold(h, e.v);
+  }
+  h = fold(h, r.matching.size());
+  return fold(h, r.phases);
 }
 
 }  // namespace wmatch::bench::hot_path

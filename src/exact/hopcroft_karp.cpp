@@ -17,13 +17,9 @@ namespace {
 constexpr std::uint32_t kInf = std::numeric_limits<std::uint32_t>::max();
 constexpr std::uint32_t kNoEdge = std::numeric_limits<std::uint32_t>::max();
 
-/// Chunk grains: BFS frontier expansion is cheap per vertex, speculative
-/// DFS does real work per root. Grains affect wall clock only, never the
-/// result (see the determinism argument in hopcroft_karp below). The
-/// bitset frontier chunks over whole 64-vertex words, so its grain is in
-/// words, not vertices.
+/// BFS chunk grain, in whole 64-vertex frontier words. It affects wall
+/// clock only, never the labels (see bfs_layers).
 constexpr std::size_t kBfsWordGrain = 2;
-constexpr std::size_t kDfsGrain = 4;
 
 struct BfsPart {
   bool free_right = false;
@@ -134,6 +130,7 @@ bool hk_bfs_layering(const GraphView& g,
                      std::span<const char> in_left,
                      std::span<std::uint32_t> dist,
                      runtime::ThreadPool& pool, runtime::Arena* scratch) {
+  const runtime::ArenaRewind rewind(scratch);
   runtime::ArenaVector<std::uint64_t> words(
       3 * util::bitset_words(g.num_vertices()), 0,
       runtime::ArenaAllocator<std::uint64_t>(scratch));
@@ -158,22 +155,19 @@ HopcroftKarpResult hopcroft_karp(const GraphView& g,
   }
 
   // Per-invocation O(n) scratch, carved from the arena when one is given
-  // (and reclaimed wholesale by its next reset()) — all allocated here on
-  // the calling thread, before any parallel region, per the Arena
-  // threading contract. The GraphView's CSR is immutable and read-shared,
-  // so the parallel chunks below touch no lazily-built state (the old
-  // serial adjacency pre-touch is gone with the lazy build itself).
+  // and handed back to it on return (so a class arena holds the largest
+  // call's scratch, not the sum over a round) — all allocated here on the
+  // calling thread, before any parallel region, per the Arena threading
+  // contract.
+  const runtime::ArenaRewind rewind(scratch);
   const runtime::ArenaAllocator<std::uint32_t> alloc32(scratch);
   const runtime::ArenaAllocator<char> alloc8(scratch);
   const runtime::ArenaAllocator<std::uint64_t> alloc64(scratch);
 
   // match_edge[v] = index of the matched edge at v, or kNoEdge; mate[v]
   // = its other endpoint, or kNoVertex, so no lookup touches the edge list.
-  // mate is heap scratch, freed on return: arena scratch piles up over all
-  // of a round's calls until the round barrier resets it, and mate would
-  // add a third to it.
   runtime::ArenaVector<std::uint32_t> match_edge(n, kNoEdge, alloc32);
-  std::vector<Vertex> mate(n, kNoVertex);
+  runtime::ArenaVector<Vertex> mate(n, kNoVertex, alloc32);
   if (initial) {
     WMATCH_REQUIRE(initial->num_vertices() == n, "initial matching size");
     for (const Edge& me : initial->edges()) {
@@ -191,8 +185,8 @@ HopcroftKarpResult hopcroft_karp(const GraphView& g,
   for (Vertex v = 0; v < n; ++v) in_left[v] = (side[v] == 0);
 
   // Small graphs (the reduction's layered graphs) solve sequentially: a
-  // nested batch per BFS level and DFS batch costs more than it saves,
-  // and its help-while-waiting would run sibling class tasks.
+  // nested batch per BFS level costs more than it saves, and its
+  // help-while-waiting would run sibling class tasks.
   runtime::ThreadPool& pool = runtime::pool_for_work(rt, g.num_edges());
   runtime::ArenaVector<std::uint32_t> dist(n, 0, alloc32);
 
@@ -200,20 +194,15 @@ HopcroftKarpResult hopcroft_karp(const GraphView& g,
   // re-zeroed per phase (3 * ceil(n/64) words: frontier, next, claimed).
   runtime::ArenaVector<std::uint64_t> words(3 * util::bitset_words(n), 0,
                                             alloc64);
-  auto bfs = [&]() -> bool {
-    return bfs_layers(g, match_edge, mate, in_left, dist, pool, words);
-  };
 
-  // One DFS walk from `root` along the dist layering, shared by the
-  // speculative and the retry path — they differ only in how they skip /
-  // retire fruitless right vertices. `skip(u)` filters a right vertex
-  // before it is considered; `mark_dead(u)` retires a matched right vertex
-  // off the next layer, and `retire(frame)` runs when a frame's subtree is
-  // exhausted (a subtree only moves to strictly larger dist values, so
-  // fruitlessness is independent of the path prefix — and, against a
-  // frozen snapshot, of the root as well). Returns the non-matching edges
-  // of an augmenting path root -> free right vertex (empty if none).
-  // `stack` is the caller's reusable frame buffer, empty between walks.
+  // The classic live DFS from one free root along the dist layering. It
+  // prunes globally through dist: a committed path's vertices, a matched
+  // right vertex whose mate is off the next layer, and the entry right
+  // vertex of an exhausted frame all get dist kInf. That is sound because
+  // a phase's search space only shrinks and a subtree only moves to
+  // strictly larger dist values, so a fruitless right vertex stays
+  // fruitless for every later root of the phase. On reaching a free right
+  // vertex it flips the matching along the path and returns true.
   // A frame's own dist and match_edge cannot change while it is on top of
   // the stack, so it reads them once per visit.
   struct Frame {
@@ -222,9 +211,15 @@ HopcroftKarpResult hopcroft_karp(const GraphView& g,
     std::uint32_t entry;   // edge that entered v (kNoEdge for the root)
     Vertex entry_right;    // the right vertex `entry` leads to; v's mate
   };
-  auto walk = [&](Vertex root, std::vector<Frame>& stack, auto&& skip,
-                  auto&& mark_dead,
-                  auto&& retire) -> std::vector<std::uint32_t> {
+  std::vector<Frame> stack;
+  auto flip = [&](std::uint32_t ei) {
+    const Edge& e = g.edge(ei);
+    match_edge[e.u] = match_edge[e.v] = ei;
+    mate[e.u] = e.v;
+    mate[e.v] = e.u;
+    dist[e.u] = dist[e.v] = kInf;
+  };
+  auto augment = [&](Vertex root) -> bool {
     stack.push_back({root, 0, kNoEdge, kNoVertex});
     while (!stack.empty()) {
       Frame& f = stack.back();
@@ -238,17 +233,14 @@ HopcroftKarpResult hopcroft_karp(const GraphView& g,
         if (ei == matched) continue;
         const Vertex u = nbrs[f.it];
         if (dist[u] != target) continue;
-        if (skip(u)) continue;
         const Vertex w = mate[u];
         if (w == kNoVertex) {
-          std::vector<std::uint32_t> path;
-          path.reserve(stack.size());
           for (const Frame& fr : stack) {
-            if (fr.entry != kNoEdge) path.push_back(fr.entry);
+            if (fr.entry != kNoEdge) flip(fr.entry);
           }
-          path.push_back(ei);
+          flip(ei);
           stack.clear();
-          return path;
+          return true;
         }
         if (dist[w] == target + 1) {
           ++f.it;  // resume after this edge when the subtree fails
@@ -256,132 +248,42 @@ HopcroftKarpResult hopcroft_karp(const GraphView& g,
           descended = true;
           break;
         }
-        mark_dead(u);  // matched off-layer: a dead end for this phase
+        dist[u] = kInf;  // matched off-layer: a dead end for this phase
       }
       if (descended) continue;
-      if (f.entry != kNoEdge) retire(f);
+      if (f.entry != kNoEdge) dist[f.entry_right] = kInf;
       stack.pop_back();
     }
-    return {};
-  };
-
-  // Speculative DFS against the frozen (dist, match_edge) snapshot of
-  // this phase: mutates no shared state; fruitless right vertices are
-  // memoized in the chunk's `dead` scratch. Because the snapshot is
-  // identical for every root, the marks carry across the whole chunk —
-  // pruned subtrees can never contribute path edges, so the candidate
-  // found is the same with or without them, which both preserves the
-  // thread-count invariance (chunking differs, results do not) and keeps
-  // a phase's sequential work near the classic shared-pruning bound at
-  // num_threads = 1 (one chunk = full cross-root memoization).
-  // An exhausted frame's entry right vertex is fruitless everywhere.
-  auto speculate = [&](Vertex root, std::vector<Frame>& stack,
-                       std::vector<char>& dead) -> std::vector<std::uint32_t> {
-    return walk(
-        root, stack, [&](Vertex u) { return dead[u] != 0; },
-        [&](Vertex u) { dead[u] = 1; },
-        [&](const Frame& f) { dead[f.entry_right] = 1; });
-  };
-
-  // Serial fallback for roots whose speculative path conflicted with an
-  // earlier commit: the classic live-state DFS, pruning globally through
-  // dist (committed paths and exhausted subtrees are marked kInf, which is
-  // sound because the per-phase search space only ever shrinks).
-  // An exhausted frame retires `edge(entry).other(v)`. v is not an
-  // endpoint of its entry edge, so that is the edge's `u` end: the right
-  // vertex when the edge is stored (right, left), the parent left vertex
-  // when it is stored (left, right). Retiring the parent gives it dist
-  // kInf, so its frame's target wraps to 0, it finds no further edge and
-  // retires its own parent in turn: the retry gives up after its first
-  // fruitless descent. The committed matchings and phase counts depend on
-  // this, so it stays until a change that may move them (see ROADMAP.md).
-  std::vector<Frame> retry_stack;
-  auto retry = [&](Vertex root) -> std::vector<std::uint32_t> {
-    return walk(
-        root, retry_stack, [](Vertex) { return false; },
-        [&](Vertex u) { dist[u] = kInf; },
-        [&](const Frame& f) { dist[g.edge(f.entry).other(f.v)] = kInf; });
-  };
-
-  // Flips the matching along the non-matching edges of an augmenting path
-  // and retires its vertices from this phase (claimed + dist = kInf).
-  runtime::ArenaVector<char> claimed(n, 0, alloc8);
-  auto commit = [&](const std::vector<std::uint32_t>& path) {
-    for (std::uint32_t ei : path) {
-      const Edge& e = g.edge(ei);
-      match_edge[e.u] = ei;
-      match_edge[e.v] = ei;
-      mate[e.u] = e.v;
-      mate[e.v] = e.u;
-      claimed[e.u] = claimed[e.v] = 1;
-      dist[e.u] = dist[e.v] = kInf;
-    }
+    return false;
   };
 
   std::size_t phases = 0;
   obs::Counter& phase_counter = obs::counter("hk.phases");
   while (max_phases == 0 || phases < max_phases) {
-    // One phase under a span; the layering BFS and the batched DFS get
-    // sub-spans of their own. Spans and the hk.phases counter observe the
-    // loop without changing it (the loop structure is the old
-    // `while (... && bfs())` unrolled so each part can be wrapped).
+    // One phase under a span; the layering BFS and the DFS get sub-spans
+    // of their own. Spans and the hk.phases counter observe the loop
+    // without changing it.
     obs::Span phase_span("hk.phase", static_cast<std::int64_t>(phases));
     bool layered;
     {
       obs::Span bfs_span("hk.bfs");
-      layered = bfs();
+      layered = bfs_layers(g, match_edge, mate, in_left, dist, pool, words);
     }
     if (!layered) break;
-    // Batch the free roots: speculate candidate paths for all of them
-    // concurrently against the phase-start snapshot, then commit serially
-    // in root index order, falling back to a live serial DFS for roots
-    // whose candidate touches an already-committed vertex. Speculation is
-    // snapshot-pure and the commit/retry pass is sequential, so the phase
-    // outcome is bit-identical for any thread count. Every free root is
-    // meant to either augment or prove no disjoint path remains, making the
-    // committed set maximal — the per-phase invariant Hopcroft-Karp's
-    // bounds (and Fact 1.3) rely on — but the retire step of `retry`
-    // above can end a retry early, so today a phase may stop short of
-    // maximal.
+    // Every free left root, in index order, either augments along a
+    // shortest path disjoint from the ones committed before it or proves
+    // that none remains. The committed set is therefore a maximal set of
+    // vertex-disjoint shortest augmenting paths: the per-phase invariant
+    // behind Hopcroft-Karp's bounds and Fact 1.3. A root never loses its
+    // dist 0 to another root's walk, so testing it on the fly is the same
+    // as collecting the roots first.
     bool any = false;
     {
       obs::Span dfs_span("hk.dfs");
-      std::vector<Vertex> roots;
       for (Vertex v = 0; v < n; ++v) {
         if (in_left[v] && match_edge[v] == kNoEdge && dist[v] == 0) {
-          roots.push_back(v);
+          any |= augment(v);
         }
-      }
-      std::vector<std::vector<std::uint32_t>> candidate(roots.size());
-      runtime::parallel_for(
-          pool, roots.size(), kDfsGrain, [&](std::size_t lo, std::size_t hi) {
-            std::vector<char> dead(n, 0);  // shared across the chunk's roots
-            std::vector<Frame> stack;
-            for (std::size_t i = lo; i < hi; ++i) {
-              candidate[i] = speculate(roots[i], stack, dead);
-            }
-          });
-
-      std::fill(claimed.begin(), claimed.end(), 0);
-      for (std::size_t i = 0; i < roots.size(); ++i) {
-        const std::vector<std::uint32_t>& path = candidate[i];
-        if (path.empty()) continue;  // no path in the (larger) snapshot space
-        bool clean = true;
-        for (std::uint32_t ei : path) {
-          const Edge& e = g.edge(ei);
-          if (claimed[e.u] || claimed[e.v]) {
-            clean = false;
-            break;
-          }
-        }
-        if (!clean) {
-          const std::vector<std::uint32_t> rerun = retry(roots[i]);
-          if (rerun.empty()) continue;
-          commit(rerun);
-        } else {
-          commit(path);
-        }
-        any = true;
       }
     }
     ++phases;

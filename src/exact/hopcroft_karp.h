@@ -7,7 +7,8 @@
 // (1 - 1/(k+1))-approximate maximum matching. Running ceil(1/delta) phases
 // therefore yields the (1-delta)-approximation Theorem 4.1 consumes, and
 // each phase maps to O(1) passes in the streaming model / O(1) rounds of
-// BFS+DFS in a distributed simulation.
+// BFS+DFS in a distributed simulation. The bound needs every phase to be
+// maximal, which hopcroft_karp's serial DFS guarantees.
 #pragma once
 
 #include <span>
@@ -33,15 +34,20 @@ struct HopcroftKarpResult {
 /// `max_phases == 0` means run to optimality.
 /// `initial`, when provided, seeds the matching (must be valid in g and
 /// respect the bipartition).
-/// `rt` selects the host threads for the per-phase BFS layer construction
-/// and the speculative DFS augmentation batch; a graph with fewer than
+/// Each phase is the classic serial one: a BFS layering, then a live DFS
+/// from every free left vertex in index order that commits a maximal set
+/// of vertex-disjoint shortest augmenting paths. So after k phases no
+/// augmenting path of fewer than 2k+1 edges remains (Fact 1.3).
+/// `rt` selects the host threads for the per-phase BFS layer construction,
+/// the only parallel part; a graph with fewer than
 /// runtime::kParallelWorkCutoff edges runs sequentially whatever `rt`
 /// says. The result (matching and phase count) is bit-identical for any
 /// thread count and scratch arena.
 /// `scratch`, when provided, backs the per-invocation O(n) scratch
-/// (dist/match/bitset words) — reclaimed wholesale by Arena::reset(), so
-/// repeated invocations from a forked class matcher stop hitting the
-/// heap. Allocations happen on the calling thread only.
+/// (dist/match/mate/bitset words) and is rewound to its entry position on
+/// return, so repeated invocations from a forked class matcher stop
+/// hitting the heap and the arena holds only the largest call's scratch.
+/// Allocations happen on the calling thread only.
 HopcroftKarpResult hopcroft_karp(const GraphView& g,
                                  const std::vector<char>& side,
                                  std::size_t max_phases = 0,

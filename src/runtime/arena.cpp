@@ -47,6 +47,21 @@ void Arena::reset() {
   in_use_ = 0;
 }
 
+Arena::Mark Arena::mark() const {
+  return {active_, active_ < chunks_.size() ? chunks_[active_].used : 0,
+          in_use_};
+}
+
+void Arena::rewind(const Mark& m) {
+  // Chunks past the active one are always empty, so only those the cursor
+  // moved into since `m` need clearing.
+  for (std::size_t i = m.chunk; i < chunks_.size() && i <= active_; ++i) {
+    chunks_[i].used = i == m.chunk ? m.used : 0;
+  }
+  active_ = m.chunk;
+  in_use_ = m.in_use;
+}
+
 Arena& ArenaPool::arena(std::size_t i) {
   while (arenas_.size() <= i) {
     arenas_.push_back(std::make_unique<Arena>());

@@ -10,10 +10,10 @@
 // Threading contract: an Arena is NOT thread-safe. Each forked class owns
 // its own Arena (one per ladder slot, from an ArenaPool) and must only
 // allocate from the thread running that class's task, outside any nested
-// parallel region. The parallel BFS/DFS chunks inside Hopcroft-Karp never
+// parallel region. The parallel BFS chunks inside Hopcroft-Karp never
 // allocate from the arena — per-invocation scratch is carved before the
-// parallel region starts (see exact/hopcroft_karp.cpp). Lifetime rules in
-// DESIGN.md §10.
+// parallel region starts and rewound (ArenaRewind) when the call returns
+// (see exact/hopcroft_karp.cpp). Lifetime rules in DESIGN.md §10.
 #pragma once
 
 #include <cstddef>
@@ -37,6 +37,21 @@ class Arena {
 
   /// Rewinds the cursor to empty, keeping every chunk for reuse.
   void reset();
+
+  /// A cursor position, for handing back everything allocated after it.
+  struct Mark {
+    std::size_t chunk = 0;
+    std::size_t used = 0;
+    std::size_t in_use = 0;
+  };
+
+  /// The current cursor position.
+  Mark mark() const;
+
+  /// Rewinds the cursor to `m` (taken from this arena since its last
+  /// reset()), keeping every chunk; storage allocated after `m` is handed
+  /// out again by the next allocations.
+  void rewind(const Mark& m);
 
   /// Bytes handed out since the last reset (including alignment padding).
   std::size_t bytes_in_use() const { return in_use_; }
@@ -64,9 +79,28 @@ class Arena {
   std::size_t high_water_ = 0;
 };
 
+/// Rewinds an arena to where it stood at construction when the scope
+/// ends: per-call scratch that must not outlive the call. A null arena is
+/// a no-op, like ArenaAllocator's heap fallback.
+class ArenaRewind {
+ public:
+  explicit ArenaRewind(Arena* arena)
+      : arena_(arena), mark_(arena ? arena->mark() : Arena::Mark{}) {}
+  ~ArenaRewind() {
+    if (arena_ != nullptr) arena_->rewind(mark_);
+  }
+  ArenaRewind(const ArenaRewind&) = delete;
+  ArenaRewind& operator=(const ArenaRewind&) = delete;
+
+ private:
+  Arena* arena_;
+  Arena::Mark mark_;
+};
+
 /// std::allocator-compatible adapter. With a null arena it degrades to the
 /// heap (so arena use stays optional at every call site); with an arena,
-/// deallocate is a no-op and memory is reclaimed wholesale by reset().
+/// deallocate is a no-op and memory is reclaimed wholesale by reset() or
+/// rewind().
 template <typename T>
 class ArenaAllocator {
  public:
@@ -84,7 +118,7 @@ class ArenaAllocator {
 
   void deallocate(T* p, std::size_t n) {
     if (arena_ == nullptr) std::allocator<T>{}.deallocate(p, n);
-    // Arena memory is reclaimed by Arena::reset(), never piecewise.
+    // Arena memory is reclaimed by reset() or rewind(), never piecewise.
   }
 
   Arena* arena() const { return arena_; }

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "exact/blossom.h"
+#include "exact/hopcroft_karp.h"
 #include "obs/obs.h"
 #include "util/require.h"
 
@@ -62,8 +63,12 @@ double CachedInstance::optimum(bool cardinality, bool allow_exact) const {
     return weight_opt_;
   }
   if (card_opt_ < 0.0) {
+    // A maximum matching's size is unique, so Hopcroft-Karp's equals
+    // Blossom's wherever a bipartition is known.
     card_opt_ = static_cast<double>(
-        exact::blossom_max_weight(inst_.graph, true).size());
+        inst_.is_bipartite()
+            ? exact::hopcroft_karp(inst_.graph, inst_.side).matching.size()
+            : exact::blossom_max_weight(inst_.graph, true).size());
   }
   return card_opt_;
 }

@@ -58,6 +58,45 @@ TEST(Arena, ResetRewindsWithoutFreeing) {
   EXPECT_EQ(a.allocate(100, 8), first);
 }
 
+TEST(Arena, RewindReusesTheSameBytesAndResetKeepsTheChunks) {
+  Arena a(128);
+  void* kept = a.allocate(40, 8);
+  const Arena::Mark m = a.mark();
+  const std::size_t in_use = a.bytes_in_use();
+  void* first = a.allocate(40, 8);
+  a.allocate(500, 8);  // overflows into a new chunk
+  const std::size_t reserved = a.bytes_reserved();
+  a.rewind(m);
+  EXPECT_EQ(a.bytes_in_use(), in_use);
+  EXPECT_EQ(a.bytes_reserved(), reserved);  // chunks kept
+  // The same bytes are handed out again, in the same order.
+  EXPECT_EQ(a.allocate(40, 8), first);
+  const std::size_t before_scope = a.bytes_in_use();
+  {
+    const ArenaRewind scope(&a);
+    a.allocate(64, 8);  // overflows the first chunk again
+  }
+  EXPECT_EQ(a.bytes_in_use(), before_scope);
+  a.allocate(500, 8);
+  EXPECT_EQ(a.bytes_reserved(), reserved);  // the grown chunk is reused
+  a.reset();
+  EXPECT_EQ(a.bytes_in_use(), 0u);
+  EXPECT_EQ(a.bytes_reserved(), reserved);
+  EXPECT_EQ(a.allocate(40, 8), kept);
+}
+
+TEST(Arena, ScopedRewindHoldsTheLargestCallNotTheSum) {
+  Arena a(256);
+  for (int call = 1; call <= 8; ++call) {
+    const ArenaRewind scope(&a);
+    a.allocate(100 * static_cast<std::size_t>(call), 8);
+  }
+  EXPECT_EQ(a.bytes_in_use(), 0u);
+  EXPECT_GE(a.high_water(), 800u);
+  EXPECT_LT(a.high_water(), 800u + 8u);  // one call's bytes plus padding
+  const ArenaRewind null_scope(nullptr);  // heap fallback: a no-op
+}
+
 TEST(Arena, ReservationStabilizesAfterFirstRound) {
   Arena a(128);
   std::size_t reserved_after_round1 = 0;

@@ -7,6 +7,7 @@
 #include "exact/brute_force.h"
 #include "exact/hopcroft_karp.h"
 #include "gen/generators.h"
+#include "hot_path.h"
 #include "obs/obs.h"
 #include "runtime/thread_pool.h"
 #include "util/rng.h"
@@ -14,13 +15,15 @@
 namespace wmatch {
 namespace {
 
-// Hopcroft-Karp as it stood before the slot-parallel DFS rewrite, run
-// serially: the same phases (a full level-synchronous BFS layering, then a
-// speculative DFS from every free root against the phase-start snapshot
-// with one shared dead set, then an ordered commit that reruns a
-// conflicting root's DFS on the live state), with the walk as it was. The
-// library must return the same matching and phase count at every thread
-// count.
+// Hopcroft-Karp as a speculate + commit + retry scheme, run serially: the
+// same phases (a full level-synchronous BFS layering, then a speculative
+// DFS from every free root against the phase-start snapshot with one
+// shared dead set, then an ordered commit that reruns a conflicting
+// root's DFS on the live state). An exhausted frame retires its entry
+// edge's right endpoint in both walks. The library's live serial walk
+// commits the first path of each root's live search space, which is this
+// scheme's clean candidate whenever there is one, so it must return the
+// same matching and phase count at every thread count.
 namespace reference {
 
 constexpr std::uint32_t kInf = std::numeric_limits<std::uint32_t>::max();
@@ -88,10 +91,11 @@ exact::HopcroftKarpResult seed_hopcroft_karp(const GraphView& g,
     Vertex v;
     std::size_t it;
     std::uint32_t entry;
+    Vertex entry_right;
   };
   auto walk = [&](Vertex root, auto&& skip,
                   auto&& mark_dead) -> std::vector<std::uint32_t> {
-    std::vector<Frame> stack{{root, 0, kNoEdge}};
+    std::vector<Frame> stack{{root, 0, kNoEdge, kNoVertex}};
     while (!stack.empty()) {
       Frame& f = stack.back();
       const auto inc = g.incident(f.v);
@@ -113,14 +117,14 @@ exact::HopcroftKarpResult seed_hopcroft_karp(const GraphView& g,
         }
         if (dist[w] == dist[u] + 1) {
           ++f.it;
-          stack.push_back({w, 0, ei});
+          stack.push_back({w, 0, ei, u});
           descended = true;
           break;
         }
         mark_dead(u);
       }
       if (descended) continue;
-      if (f.entry != kNoEdge) mark_dead(g.edge(f.entry).other(f.v));
+      if (f.entry != kNoEdge) mark_dead(f.entry_right);
       stack.pop_back();
     }
     return {};
@@ -272,11 +276,10 @@ TEST(HopcroftKarp, InitialMatchingNotInGraphRejected) {
 
 TEST(HopcroftKarp, ResultIsInvariantAcrossThreadCounts) {
   // Graphs just below and at the runtime's work cutoff: below it every
-  // thread count takes the sequential path, at it the BFS levels and the
-  // speculative DFS batch run on the pool. Either way the matching and
-  // the phase count must equal the one-thread solve's, with and without a
-  // seed matching and a phase limit: the snapshot speculation is
-  // thread-independent and commits are ordered.
+  // thread count takes the sequential path, at it the BFS levels run on
+  // the pool. Either way the matching and the phase count must equal the
+  // one-thread solve's, with and without a seed matching and a phase
+  // limit: the BFS labels are thread-independent and the DFS is serial.
   constexpr std::size_t kCutoff = runtime::kParallelWorkCutoff;
   obs::Counter& tasks_run = obs::counter("pool.tasks_run");
   for (std::size_t m : {kCutoff - 1, kCutoff}) {
@@ -371,6 +374,104 @@ TEST(HopcroftKarp, MatchesSeedWalkAtEveryThreadCount) {
         }
       }
     }
+  }
+}
+
+/// Edges on a shortest augmenting path for `m`, found by an alternating
+/// BFS from the free left vertices; 0 when `m` has no augmenting path.
+std::size_t shortest_augmenting_path(const GraphView& g,
+                                     const std::vector<char>& side,
+                                     const Matching& m) {
+  constexpr std::size_t kUnseen = std::numeric_limits<std::size_t>::max();
+  std::vector<std::size_t> level(g.num_vertices(), kUnseen);
+  std::vector<Vertex> cur;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    if (side[v] == 0 && !m.is_matched(v)) {
+      level[v] = 0;
+      cur.push_back(v);
+    }
+  }
+  while (!cur.empty()) {
+    std::vector<Vertex> next;
+    for (Vertex v : cur) {
+      for (Vertex u : g.neighbors(v)) {
+        if (u == m.mate(v) || level[u] != kUnseen) continue;
+        level[u] = level[v] + 1;
+        if (!m.is_matched(u)) return level[u];
+        const Vertex w = m.mate(u);
+        if (level[w] == kUnseen) {
+          level[w] = level[u] + 1;
+          next.push_back(w);
+        }
+      }
+    }
+    cur = std::move(next);
+  }
+  return 0;
+}
+
+TEST(HopcroftKarp, PhaseLimitLeavesNoShortAugmentingPath) {
+  // Fact 1.3 as the black box uses it: k maximal phases leave no
+  // augmenting path of 2k-1 or fewer edges. Edges stored (left, right),
+  // (right, left) and mixed; with and without a maximal initial matching;
+  // dense and sparse, below and above runtime::kParallelWorkCutoff; at 1,
+  // 2 and 4 threads.
+  constexpr std::size_t kCutoff = runtime::kParallelWorkCutoff;
+  struct Shape {
+    std::size_t n_left, n_right, m;
+  };
+  for (const Shape& shape : {Shape{60, 60, 150}, Shape{300, 300, 900},
+                             Shape{150, 150, kCutoff - 1},
+                             Shape{2000, 2000, kCutoff + 1000}}) {
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+      for (int orientation = 0; orientation < 3; ++orientation) {
+        Rng rng(100 * seed + shape.m + static_cast<std::uint64_t>(orientation));
+        const GraphView g = oriented_bipartite(shape.n_left, shape.n_right,
+                                               shape.m, orientation, rng);
+        const auto side = sides_by_cut(shape.n_left, g.num_vertices());
+        Matching greedy(g.num_vertices());
+        for (const Edge& e : g.edges()) {
+          if (!greedy.is_matched(e.u) && !greedy.is_matched(e.v)) greedy.add(e);
+        }
+        for (const Matching* initial :
+             {static_cast<const Matching*>(nullptr),
+              static_cast<const Matching*>(&greedy)}) {
+          for (std::size_t k = 1; k <= 4; ++k) {
+            for (std::size_t threads : {1u, 2u, 4u}) {
+              const auto r = exact::hopcroft_karp(
+                  g, side, k, initial, runtime::RuntimeConfig{threads});
+              const std::size_t len =
+                  shortest_augmenting_path(g, side, r.matching);
+              EXPECT_TRUE(len == 0 || len >= 2 * k + 1)
+                  << shape.m << " edges, seed " << seed << ", orientation "
+                  << orientation << ", k " << k << ", " << threads
+                  << " threads" << (initial ? ", seeded" : "")
+                  << ": augmenting path of " << len << " edges";
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(HopcroftKarp, HotPathKernelChecksumMatchesReference) {
+  // bench_micro_kernels' hk-solve kernel: a serve exact-hk instance,
+  // solved at 1 and 4 threads, must fold to the reference's checksum.
+  const api::Instance inst = bench::hot_path::serve_hk_instance();
+  const std::uint64_t want = bench::hot_path::hk_solve_checksum(
+      inst, [](const GraphView& g, const std::vector<char>& side) {
+        return reference::seed_hopcroft_karp(g, side, 0, nullptr);
+      });
+  for (std::size_t threads : {1u, 4u}) {
+    EXPECT_EQ(bench::hot_path::hk_solve_checksum(
+                  inst,
+                  [&](const GraphView& g, const std::vector<char>& side) {
+                    return exact::hopcroft_karp(
+                        g, side, 0, nullptr, runtime::RuntimeConfig{threads});
+                  }),
+              want)
+        << threads << " threads";
   }
 }
 

@@ -13,8 +13,11 @@
 #include <thread>
 #include <utility>
 
+#include "exact/blossom.h"
+#include "gen/generators.h"
 #include "service/service.h"
 #include "sweep/sweep.h"
+#include "util/rng.h"
 
 namespace wmatch {
 namespace {
@@ -109,6 +112,33 @@ TEST(InstanceCache, LazyOptimaAreCachedPerObjective) {
   // Non-unit weights: the cardinality optimum needs an exact solve.
   EXPECT_EQ(entry.optimum(true, false), -1.0);
   EXPECT_GT(entry.optimum(true, true), 0.0);
+}
+
+TEST(InstanceCache, BipartiteCardinalityOptimumEqualsBlossomSize) {
+  // Bipartite instances take the cardinality optimum from Hopcroft-Karp.
+  // A maximum matching's size is unique, so it must equal Blossom's.
+  std::vector<api::Instance> instances;
+  instances.push_back(api::generate_instance(small_gen("bipartite", 300, 900)));
+  Rng rng(5);
+  Graph unit = gen::random_bipartite(80, 60, 300, rng);
+  Graph unit_weights(unit.num_vertices());
+  for (const Edge& e : unit.edges()) unit_weights.add_edge(e.u, e.v, 1);
+  instances.push_back(
+      api::make_instance(std::move(unit_weights), api::ArrivalOrder::kAsGenerated, 1));
+  Graph sparse(40);  // vertices 12..39 are isolated
+  for (Vertex v = 0; v < 6; ++v) {
+    sparse.add_edge(v, v + 6, 3 + v);
+    sparse.add_edge(v, (v + 1) % 6 + 6, 1);
+  }
+  instances.push_back(
+      api::make_instance(std::move(sparse), api::ArrivalOrder::kAsGenerated, 1));
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    ASSERT_TRUE(instances[i].is_bipartite()) << i;
+    const double blossom = static_cast<double>(
+        exact::blossom_max_weight(instances[i].graph, true).size());
+    const service::CachedInstance entry(std::move(instances[i]));
+    EXPECT_EQ(entry.optimum(true, true), blossom) << i;
+  }
 }
 
 // ---- JobQueue ----
