@@ -2,6 +2,8 @@
 // median-of-K timings for the reduction's hot path over the `ci`
 // bipartite instance's classes (bench/hot_path.h) —
 //   tau-pairs       pairs_for_values over every class's value sets
+//   tau-useful      pairs_for_values_if with each class's
+//                   BucketedEdges::admits: the pairs the reduction builds
 //   buckets         bucket_edges (buckets + gap index) for every class
 //   layered-build   every class pair through one LayeredGraphBuilder
 //                   (over the buckets above: a class pays both)
@@ -272,6 +274,9 @@ int run_kernels(const Args& args) {
   results.push_back(run_kernel("tau-pairs", [&] {
     return bench::hot_path::tau_pairs_checksum(hot, core::pairs_for_values);
   }));
+  results.push_back(run_kernel("tau-useful", [&] {
+    return bench::hot_path::tau_useful_checksum(hot);
+  }));
   results.push_back(run_kernel("buckets", [&] {
     return bench::hot_path::buckets_checksum(hot, core::bucket_edges);
   }));
@@ -316,10 +321,12 @@ int run_kernels(const Args& args) {
           std::cout, std::cerr)) {
     return 1;
   }
-  std::cout << "\nExpected shape: tau-pairs, buckets and layered-build are "
-               "the reduction's per-class scaffolding (the black box is not "
-               "in them); blossom is the random-arrival algorithms' exact "
-               "step and hk-solve the serve workload's exact-hk solve; "
+  std::cout << "\nExpected shape: tau-useful, buckets and layered-build "
+               "are the reduction's per-class scaffolding (the black box is "
+               "not in them; tau-pairs is the unfiltered enumeration that "
+               "perfbench's replay builds pair by pair); blossom is the "
+               "random-arrival algorithms' exact step and hk-solve the "
+               "serve workload's exact-hk solve; "
                "arena-fork-scratch amortizes away heap-fork-scratch's "
                "per-fork allocations.\n\n";
   return 0;

@@ -1,7 +1,7 @@
 // Inputs and checksums for the hot-path kernels: the reduction's tau-pair
-// enumeration, edge bucketing and layered-graph builds, as
-// find_class_augmentations runs them, and the Blossom solve of the
-// random-arrival algorithm's edge set T.
+// enumeration (unfiltered, and filtered to the pairs that build), edge
+// bucketing and layered-graph builds, as find_class_augmentations runs
+// them, and the Blossom solve of the random-arrival algorithm's edge set T.
 //
 // The inputs are the `ci` preset's bipartite reduction instance (n=200,
 // m=800, uniform weights up to 4096, seed 1) under its greedy-by-weight
@@ -88,15 +88,14 @@ inline std::uint64_t fold(std::uint64_t h, std::uint64_t x) {
   return (h ^ x) * 0x100000001b3ULL;
 }
 
-/// Folds every pair of every class, and each class's generator state
-/// after enumeration. `pairs(a_vals, b_vals, cfg, rng)` is pairs_for_values
-/// or a reference with its signature.
-template <typename PairsFn>
-std::uint64_t tau_pairs_checksum(const Inputs& in, PairsFn&& pairs) {
+/// Folds every pair `pairs(class_input, rng)` returns for each class, and
+/// the class's generator state after enumeration.
+template <typename ClassPairsFn>
+std::uint64_t class_pairs_checksum(const Inputs& in, ClassPairsFn&& pairs) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const ClassInput& c : in.classes) {
     Rng rng(c.seed);
-    for (const core::TauPair& p : pairs(c.a_vals, c.b_vals, in.tau, rng)) {
+    for (const core::TauPair& p : pairs(c, rng)) {
       h = fold(h, p.tau_a.size());
       for (int a : p.tau_a) h = fold(h, static_cast<std::uint64_t>(a));
       for (int b : p.tau_b) h = fold(h, static_cast<std::uint64_t>(b));
@@ -104,6 +103,30 @@ std::uint64_t tau_pairs_checksum(const Inputs& in, PairsFn&& pairs) {
     h = fold(h, rng.next());
   }
   return h;
+}
+
+/// The tau-pairs kernel: every pair of every class, unfiltered.
+/// `pairs(a_vals, b_vals, cfg, rng)` is pairs_for_values or a reference
+/// with its signature.
+template <typename PairsFn>
+std::uint64_t tau_pairs_checksum(const Inputs& in, PairsFn&& pairs) {
+  return class_pairs_checksum(in, [&](const ClassInput& c, Rng& rng) {
+    return pairs(c.a_vals, c.b_vals, in.tau, rng);
+  });
+}
+
+/// The tau-useful kernel: the pairs find_class_augmentations builds, i.e.
+/// pairs_for_values_if filtered by the class's BucketedEdges::admits.
+/// A reference with the same checksum filters pairs_for_values by an
+/// independent build.
+inline std::uint64_t tau_useful_checksum(const Inputs& in) {
+  return class_pairs_checksum(in, [&](const ClassInput& c, Rng& rng) {
+    return core::pairs_for_values_if(
+        c.a_vals, c.b_vals, in.tau, rng,
+        [&c](std::span<const int> tau_a, std::span<const int> tau_b) {
+          return c.buckets.admits(tau_a, tau_b);
+        });
+  });
 }
 
 /// Folds every class's buckets and gap index (each group's key and

@@ -126,6 +126,44 @@ std::span<const Edge> BucketedEdges::gap(int tag_u, int b, int tag_v) const {
   return {grouped.data() + group_begin[i], grouped.data() + group_begin[i + 1]};
 }
 
+namespace {
+
+/// The tag a vertex must carry to be present at layer t of a k-gap pair:
+/// tau_a[t], where tag 0 (M-free) counts only at the endpoint layers 0
+/// and k; an intermediate tau_a of 0 admits no vertex (-1).
+int layer_tag(std::span<const int> tau_a, std::size_t t) {
+  const int a = tau_a[t];
+  return a == 0 && t != 0 && t + 1 != tau_a.size() ? -1 : a;
+}
+
+}  // namespace
+
+bool BucketedEdges::admits(std::span<const int> tau_a,
+                           std::span<const int> tau_b) const {
+  const int umax = static_cast<int>(matched.size()) - 1;
+  // Fast reject: every layer with a positive threshold and every gap must
+  // have candidate edges (an endpoint layer with tau_a > 0 only admits
+  // X-matched vertices, so its bucket must be non-empty too).
+  for (int a : tau_a) {
+    if (a > umax) return false;
+    if (a > 0 && matched[static_cast<std::size_t>(a)].empty()) return false;
+  }
+  for (int b : tau_b) {
+    if (b < 1 || b > umax || unmatched[static_cast<std::size_t>(b)].empty()) {
+      return false;
+    }
+  }
+  // Y edges between consecutive layers (u in R at t, v in L at t+1): gap
+  // t is the index group (layer_tag(t), tau_b[t], layer_tag(t + 1)).
+  for (std::size_t t = 0; t < tau_b.size(); ++t) {
+    if (!gap(layer_tag(tau_a, t), tau_b[t], layer_tag(tau_a, t + 1))
+             .empty()) {
+      return true;
+    }
+  }
+  return false;
+}
+
 std::optional<LayeredGraph> LayeredGraphBuilder::build(
     const BucketedEdges& edges, const Matching& /*m*/,
     const Parametrization& par, const TauPair& tau, std::size_t n,
@@ -133,38 +171,15 @@ std::optional<LayeredGraph> LayeredGraphBuilder::build(
   const std::size_t layers = tau.num_layers();
   WMATCH_REQUIRE(layers >= 2, "layered graph needs >= 2 layers");
   const std::size_t k = layers - 1;
-  const int umax = static_cast<int>(edges.matched.size()) - 1;
+  if (!edges.admits(tau.tau_a, tau.tau_b)) return std::nullopt;
 
-  // Fast reject: every layer with a positive threshold and every gap must
-  // have candidate edges (an endpoint layer with tau_a > 0 only admits
-  // X-matched vertices, so its bucket must be non-empty too).
-  for (int a : tau.tau_a) {
-    if (a > umax) return std::nullopt;
-    if (a > 0 && edges.matched[static_cast<std::size_t>(a)].empty()) {
-      return std::nullopt;
-    }
-  }
-  for (int b : tau.tau_b) {
-    if (b > umax || edges.unmatched[static_cast<std::size_t>(b)].empty()) {
-      return std::nullopt;
-    }
-  }
-
-  // Y edges between consecutive layers (u in R at t, v in L at t+1): a
-  // vertex is present at layer t iff its tag is tau_a[t], where tag 0
-  // (M-free) counts only at the endpoint layers 0 and k; an intermediate
-  // tau_a of 0 admits no vertex. So gap t is one index group.
-  auto layer_tag = [&](std::size_t t) {
-    const int a = tau.tau_a[t];
-    return a == 0 && t != 0 && t != k ? -1 : a;
-  };
   gaps_.clear();
   std::size_t between = 0;
   for (std::size_t t = 0; t < k; ++t) {
-    gaps_.push_back(edges.gap(layer_tag(t), tau.tau_b[t], layer_tag(t + 1)));
+    gaps_.push_back(edges.gap(layer_tag(tau.tau_a, t), tau.tau_b[t],
+                              layer_tag(tau.tau_a, t + 1)));
     between += gaps_.back().size();
   }
-  if (between == 0) return std::nullopt;
 
   // A new epoch invalidates every slot of the previous build at once.
   if (slots_.size() < layers * n) slots_.resize(layers * n);

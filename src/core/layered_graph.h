@@ -94,6 +94,15 @@ struct BucketedEdges {
   /// [0, umax] (b outside [1, umax]).
   std::span<const Edge> gap(int tag_u, int b, int tag_v) const;
 
+  /// Whether the pair (tau_a, tau_b), |tau_a| == |tau_b| + 1, has a
+  /// useful layered graph: every positive tau_a and every tau_b names a
+  /// non-empty in-window bucket, and some gap group (tau_a[t], tau_b[t],
+  /// tau_a[t+1]) is non-empty (an intermediate tau_a of 0 admits no
+  /// vertex). This is LayeredGraphBuilder::build's reject test, so it
+  /// answers build(pair).has_value() in O(k log groups) without building;
+  /// find_class_augmentations passes it to pairs_for_values_if.
+  bool admits(std::span<const int> tau_a, std::span<const int> tau_b) const;
+
   /// Group i's key, ascending: (tag_u * (umax + 1) + b) * (umax + 1) +
   /// tag_v. Its edges are grouped[group_begin[i] .. group_begin[i + 1]).
   std::vector<std::uint64_t> group_keys;
@@ -104,8 +113,8 @@ struct BucketedEdges {
 BucketedEdges bucket_edges(const CrossingEdges& edges, Weight unit, int umax);
 
 /// Builds the layered graphs of many tau pairs, reusing its scratch from
-/// build to build. A build costs O(k log groups) until it knows whether
-/// the pair is useful, and O(output) after: the gaps are read straight
+/// build to build. A build first runs BucketedEdges::admits, O(k log
+/// groups), and costs O(output) after: the gaps are read straight
 /// from the gap index, and only a useful build copies its X edges and
 /// interns its vertices, in compressed-id slots indexed by t*n + v,
 /// allocated by the first useful build, grown to the deepest pair seen,
@@ -117,7 +126,8 @@ BucketedEdges bucket_edges(const CrossingEdges& edges, Weight unit, int umax);
 class LayeredGraphBuilder {
  public:
   /// The layered graph L' for one good pair over pre-bucketed edges, or
-  /// nullopt when it has no between-layer edge (the pair is useless).
+  /// nullopt when it has no between-layer edge (the pair is useless:
+  /// exactly when edges.admits(tau.tau_a, tau.tau_b) is false).
   /// The build runs on the calling thread. `m` and `rt` are unread (M
   /// enters through the buckets' vertex tags) and kept so existing
   /// callers compile. The output is identical for any earlier use of the

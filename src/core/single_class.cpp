@@ -67,13 +67,17 @@ SingleClassResult find_class_augmentations(const GraphView& g,
   for (const auto& b : buckets.unmatched) bucket_words += b.size();
   meter.add(bucket_words);
 
-  std::vector<TauPair> pairs = pairs_for_values(
-      buckets.matched_values(), buckets.unmatched_values(), tau_cfg, rng);
+  // Useless pairs are dropped as they are drawn: every pair left builds.
+  const std::vector<TauPair> pairs = pairs_for_values_if(
+      buckets.matched_values(), buckets.unmatched_values(), tau_cfg, rng,
+      [&buckets](std::span<const int> tau_a, std::span<const int> tau_b) {
+        return buckets.admits(tau_a, tau_b);
+      });
 
   for (const TauPair& pair : pairs) {
     std::optional<LayeredGraph> built = builder.build(
         buckets, m, par, pair, g.num_vertices(), opts.runtime);
-    if (!built) continue;
+    WMATCH_ASSERT(built);
     const LayeredGraph& lg = *built;
     ++result.layered_graphs;
 

@@ -2,9 +2,10 @@
 //
 // For a fixed class weight W: draw a random L/R bipartition, bucket the
 // crossing edges by quantized weight (with the gap index of
-// layered_graph.h), and for every good (tau^A, tau^B) pair build the
-// layered graph L' — a useless pair is rejected after O(k) index lookups
-// and a useful one costs O(|L'|) — solve it with the unweighted bipartite
+// layered_graph.h), and enumerate the good (tau^A, tau^B) pairs, dropping
+// the useless ones as they are drawn (BucketedEdges::admits, O(k) index
+// lookups per distinct pair). For every pair left, build the layered
+// graph L' in O(|L'|), solve it with the unweighted bipartite
 // black box, extract the augmenting paths of
 // M' ∪ M_{L'}, translate them back to G, decompose every translated walk
 // (Lemma 4.11) and keep its best-gain component. The returned collection
@@ -62,9 +63,11 @@ struct SingleClassOptions {
   runtime::RuntimeConfig runtime;
 };
 
-/// The tau pairs are generated internally per class via pairs_for_values,
-/// restricted to the quantized weights that occur under this class's unit
-/// (see tau.h for the substitution rationale).
+/// The tau pairs are generated internally per class via
+/// pairs_for_values_if, restricted to the quantized weights that occur
+/// under this class's unit (see tau.h for the substitution rationale) and
+/// filtered by BucketedEdges::admits, so the draws and the black-box
+/// calls are those of building every pairs_for_values pair.
 SingleClassResult find_class_augmentations(const GraphView& g,
                                            const Matching& m,
                                            Weight w_class,

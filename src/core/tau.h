@@ -15,6 +15,8 @@
 // longer paths/cycles, and weight-histogram-guided samples.
 #pragma once
 
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -66,12 +68,29 @@ std::vector<TauPair> generate_good_pairs(const TauConfig& cfg, Rng& rng);
 /// been emitted, duplicates included; the sampling budgets are measured in
 /// the same raw count. The returned list is deduplicated on every exit
 /// path (first occurrence kept, priority order preserved). A sampled
-/// candidate is tested against Table 1 (E) and (F) on sums kept as its
-/// values are drawn, the other conditions holding by construction, and
-/// only a good one is stored and hashed.
+/// candidate is drawn into a local array from a register copy of `rng`
+/// (written back once at the end) and tested against Table 1 (E) and (F)
+/// on sums kept as its values are drawn, the other conditions holding by
+/// construction; only a good one is hashed and stored.
 std::vector<TauPair> pairs_for_values(const std::vector<int>& a_vals,
                                       const std::vector<int>& b_vals,
                                       const TauConfig& cfg, Rng& rng);
+
+/// A usefulness test on one pair's thresholds (tau_a, tau_b).
+using PairFilter =
+    std::function<bool(std::span<const int>, std::span<const int>)>;
+
+/// pairs_for_values without the pairs `keep` rejects. `keep` is called
+/// once per distinct good pair, in output order, as the pair is drawn;
+/// the cap and the budgets still count every emitted pair, rejected ones
+/// and duplicates included. So the draws, the generator's final state
+/// and the order are pairs_for_values', and the result is its list with
+/// the rejected pairs removed. Candidates live in one flat buffer until
+/// the end; only the kept ones become TauPairs.
+std::vector<TauPair> pairs_for_values_if(const std::vector<int>& a_vals,
+                                         const std::vector<int>& b_vals,
+                                         const TauConfig& cfg, Rng& rng,
+                                         const PairFilter& keep);
 
 /// The unit budget ceil((1+slack)/granularity) (Table 1 property (E)).
 int max_units(const TauConfig& cfg);

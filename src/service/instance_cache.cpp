@@ -73,6 +73,15 @@ double CachedInstance::optimum(bool cardinality, bool allow_exact) const {
   return card_opt_;
 }
 
+void CachedInstance::record_optimum(bool cardinality,
+                                    double achieved) const {
+  const bool weight_objective = !cardinality || unit_weights_;
+  if (weight_objective && inst_.has_known_optimum()) return;  // planted
+  std::lock_guard<std::mutex> lk(mu_);
+  double& opt = weight_objective ? weight_opt_ : card_opt_;
+  if (opt < 0.0) opt = achieved;
+}
+
 InstanceCache::InstanceCache(std::size_t capacity)
     : capacity_(std::max<std::size_t>(1, capacity)) {}
 

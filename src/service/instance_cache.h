@@ -47,6 +47,13 @@ class CachedInstance {
   /// pre-service InstanceSlot semantics.
   double optimum(bool cardinality, bool allow_exact) const;
 
+  /// Caches `achieved`, the value an exact solver (registered guarantee
+  /// 1.0) reached on this instance, as the optimum of its objective when
+  /// none is cached and no planted optimum serves it, so a later
+  /// allow_exact query runs no Blossom solve. The optimum is unique, so
+  /// what optimum() returns does not depend on which job cached it.
+  void record_optimum(bool cardinality, double achieved) const;
+
  private:
   api::Instance inst_;
   bool unit_weights_ = false;

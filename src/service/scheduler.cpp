@@ -124,6 +124,9 @@ JobResult Scheduler::run_job(const JobSpec& job, std::size_t index,
     const bool cardinality = info.objective == "cardinality";
     r.achieved = cardinality ? static_cast<double>(r.matching_size)
                              : static_cast<double>(r.matching_weight);
+    // An exact solver's matching is an optimum: cache it rather than
+    // solve the instance again for this or a later with_optimum job.
+    if (info.guarantee == 1.0) entry->record_optimum(cardinality, r.achieved);
     r.optimum = entry->optimum(cardinality, job.with_optimum);
     r.stats = std::move(solve.stats);
   } catch (const std::exception& e) {

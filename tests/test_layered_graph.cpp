@@ -521,12 +521,14 @@ class GapIndexFixture : public ::testing::Test {
   }
 
   /// The builder's answer, checked field for field against the reference
-  /// (nullopt exactly when the reference is useless).
+  /// (nullopt exactly when the reference is useless, and exactly when
+  /// admits() says no).
   std::optional<LayeredGraph> build_checked(const TauPair& tau) {
     const LayeredGraph want = reference_build(buckets_, m_, par_, tau, kN);
     std::optional<LayeredGraph> got =
         builder_.build(buckets_, m_, par_, tau, kN);
     EXPECT_EQ(got.has_value(), want.num_between_edges > 0);
+    EXPECT_EQ(buckets_.admits(tau.tau_a, tau.tau_b), got.has_value());
     if (got) {
       EXPECT_TRUE(same_layered(*got, want));
     }
@@ -624,6 +626,89 @@ TEST_F(GapIndexFixture, VerticesMatchedOutsideTheWindowNeverAppear) {
   EXPECT_GT(useful, 10u);
 }
 
+TEST_F(GapIndexFixture, AdmitsMatchesBuildOnRandomPairs) {
+  // Thresholds drawn from 0..kUmax + 2: empty and out-of-window buckets,
+  // tau_a of 0 at intermediate and endpoint layers, tau_b of 0. Most
+  // tau_b are 1, the one non-empty unmatched bucket, so some pairs build.
+  Rng rng(41);
+  std::size_t admitted = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const auto layers = static_cast<std::size_t>(rng.next_int(2, 6));
+    TauPair tau;
+    for (std::size_t t = 0; t < layers; ++t) {
+      tau.tau_a.push_back(static_cast<int>(rng.next_int(0, kUmax + 2)));
+    }
+    for (std::size_t t = 0; t + 1 < layers; ++t) {
+      tau.tau_b.push_back(rng.next_bool(0.8)
+                              ? 1
+                              : static_cast<int>(rng.next_int(0, kUmax + 2)));
+    }
+    if (build_checked(tau)) ++admitted;
+  }
+  EXPECT_GT(admitted, 50u);
+}
+
+TEST(PairsForValuesIf, EqualsPairsForValuesFilteredByBuild) {
+  // Random graphs, class weights and parametrizations, with caps that
+  // stop in every priority and depth limits 2..8: the filtered list is
+  // pairs_for_values' list without the pairs whose build is nullopt, in
+  // the same order, and both generators end in the same state.
+  Rng rng(51);
+  std::size_t cases = 0, dropped = 0, kept = 0;
+  for (int inst = 0; inst < 6; ++inst) {
+    const std::size_t n = 30 + 25 * static_cast<std::size_t>(inst);
+    Graph raw = gen::erdos_renyi(n, 4 * n, rng);
+    const GraphView g = freeze(gen::assign_weights(
+        raw, inst % 2 ? gen::WeightDist::kExponential
+                      : gen::WeightDist::kUniform,
+        300, rng));
+    const Matching m = greedy_matching(g);
+    core::LayeredGraphBuilder builder;
+    for (const Weight w_class : {Weight{40}, Weight{150}, Weight{600}}) {
+      for (const std::size_t cap : {std::size_t{7}, std::size_t{60},
+                                    std::size_t{400}, std::size_t{4000}}) {
+        core::TauConfig tcfg;
+        tcfg.max_layers = 2 + (cap + static_cast<std::size_t>(inst)) % 7;
+        tcfg.max_pairs = cap;
+        const Parametrization par = core::random_parametrization(n, rng);
+        const core::BucketedEdges buckets = core::bucket_edges(
+            core::crossing_edges(g, m, par), core::quantum(w_class, tcfg),
+            core::max_units(tcfg));
+        const std::uint64_t seed = rng.next();
+        Rng all_rng(seed), if_rng(seed);
+        std::vector<TauPair> all = core::pairs_for_values(
+            buckets.matched_values(), buckets.unmatched_values(), tcfg,
+            all_rng);
+        const std::size_t distinct = all.size();
+        std::vector<TauPair> want;
+        for (TauPair& tau : all) {
+          if (builder.build(buckets, m, par, tau, n)) {
+            want.push_back(std::move(tau));
+          } else {
+            ++dropped;
+          }
+        }
+        std::size_t asked = 0;
+        const std::vector<TauPair> got = core::pairs_for_values_if(
+            buckets.matched_values(), buckets.unmatched_values(), tcfg,
+            if_rng, [&](std::span<const int> a, std::span<const int> b) {
+              ++asked;
+              return buckets.admits(a, b);
+            });
+        ASSERT_EQ(got, want) << "instance " << inst << " class " << w_class
+                             << " max_pairs " << cap;
+        EXPECT_EQ(asked, distinct);  // once per distinct good pair
+        ASSERT_EQ(if_rng.next(), all_rng.next());
+        kept += got.size();
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 6u * 3u * 4u);
+  EXPECT_GT(kept, 100u);
+  EXPECT_GT(dropped, 100u);
+}
+
 TEST(BucketEdges, GapIndexMatchesBruteForce) {
   // Random instances under greedy matchings (free vertices, matched
   // buckets, out-of-window matched edges) and the ci instance's classes.
@@ -676,6 +761,30 @@ TEST(LayeredGraphBuilderTest, HotPathKernelChecksumMatchesReference) {
       });
   EXPECT_GT(useful, 0u);
   EXPECT_EQ(got, want);
+}
+
+TEST(PairsForValuesIf, HotPathKernelChecksumMatchesReference) {
+  // bench_micro_kernels' tau-useful kernel: the library's filtered pairs
+  // hash like pairs_for_values' pairs (pinned to test_tau's reference)
+  // filtered by the reference build, generator states included.
+  using bench::hot_path::ClassInput;
+  const bench::hot_path::Inputs in = bench::hot_path::ci_bipartite_inputs();
+  const std::size_t n = in.g.num_vertices();
+  const std::uint64_t want = bench::hot_path::class_pairs_checksum(
+      in, [&](const ClassInput& c, Rng& rng) {
+        std::vector<TauPair> useful;
+        for (TauPair& tau :
+             core::pairs_for_values(c.a_vals, c.b_vals, in.tau, rng)) {
+          if (reference_build(c.buckets, in.m, c.par, tau, n)
+                  .num_between_edges > 0) {
+            useful.push_back(std::move(tau));
+          }
+        }
+        return useful;
+      });
+  EXPECT_EQ(bench::hot_path::tau_useful_checksum(in), want);
+  EXPECT_NE(bench::hot_path::tau_useful_checksum(in),
+            bench::hot_path::tau_pairs_checksum(in, core::pairs_for_values));
 }
 
 }  // namespace

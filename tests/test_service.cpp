@@ -141,6 +141,27 @@ TEST(InstanceCache, BipartiteCardinalityOptimumEqualsBlossomSize) {
   }
 }
 
+TEST(InstanceCache, RecordedOptimumServesExactQueriesOnly) {
+  // A recorded value is returned as is (no solve runs to check it), per
+  // objective, first record wins; queries without allow_exact still see
+  // planted optima only, and a planted optimum is never overridden.
+  const service::CachedInstance entry(
+      api::generate_instance(small_gen("erdos_renyi", 30, 60)));
+  entry.record_optimum(false, 12345.0);
+  entry.record_optimum(false, 7.0);
+  EXPECT_EQ(entry.optimum(false, true), 12345.0);
+  EXPECT_EQ(entry.optimum(false, false), -1.0);
+  entry.record_optimum(true, 11.0);
+  EXPECT_EQ(entry.optimum(true, true), 11.0);
+  EXPECT_EQ(entry.optimum(true, false), -1.0);
+
+  const service::CachedInstance planted(
+      api::generate_instance(small_gen("hard-greedy-trap", 32, 0)));
+  const double opt = planted.optimum(false, false);
+  planted.record_optimum(false, opt + 1.0);
+  EXPECT_EQ(planted.optimum(false, true), opt);
+}
+
 // ---- JobQueue ----
 
 TEST(JobQueue, DeliversInFifoOrderAndDrainsAfterClose) {
@@ -512,6 +533,47 @@ TEST(Scheduler, OptimumDoesNotLeakAcrossJobsSharingAnInstance) {
   EXPECT_TRUE(batch.results[1].cache_hit);
   EXPECT_TRUE(batch.results[0].has_ratio());
   EXPECT_FALSE(batch.results[1].has_ratio());
+}
+
+// An exact solver's own matching is the optimum of its objective: the
+// exact job reports it as its optimum and a later with_optimum job on the
+// same entry reports the same value, while a job without with_optimum
+// still sees planted optima only.
+TEST(Scheduler, ExactJobRecordsItsValueAsTheEntrysOptimum) {
+  for (const char* solver : {"exact-blossom", "exact-hungarian", "exact-hk"}) {
+    service::JobSpec exact;
+    exact.id = "exact";
+    exact.solver = solver;
+    exact.source = small_gen("bipartite", 60, 200);  // no planted optimum
+    exact.with_optimum = true;
+    service::JobSpec later = exact;
+    later.id = "later";
+    later.solver =
+        std::string(solver) == "exact-hk" ? "unw-rand-arrival" : "greedy";
+    service::JobSpec plain = later;
+    plain.id = "plain";
+    plain.with_optimum = false;
+
+    service::Scheduler scheduler;  // jobs=1: the jobs run in order
+    const service::BatchResult batch = scheduler.run({exact, later, plain});
+    ASSERT_EQ(batch.results.size(), 3u);
+    const service::JobResult& r = batch.results[0];
+    ASSERT_TRUE(r.ok()) << solver << ": " << r.error;
+    const double achieved =
+        std::string(solver) == "exact-hk"
+            ? static_cast<double>(r.matching_size)
+            : static_cast<double>(r.matching_weight);
+    EXPECT_EQ(r.optimum, achieved) << solver;
+    EXPECT_EQ(batch.results[1].optimum, achieved) << solver;
+    EXPECT_FALSE(batch.results[2].has_ratio()) << solver;
+
+    // The same optimum as a fresh entry's exact solve.
+    const service::CachedInstance fresh(
+        api::generate_instance(exact.gen()));
+    EXPECT_EQ(fresh.optimum(std::string(solver) == "exact-hk", true),
+              achieved)
+        << solver;
+  }
 }
 
 TEST(Scheduler, RunStreamMatchesRunAndOrdersResults) {
