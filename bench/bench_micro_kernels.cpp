@@ -25,7 +25,8 @@
 //
 // Flags: `--threads=N` sizes the runtime pool (default 1) and
 // `--json[=path]` writes a schema-versioned BENCH JSON document (kind
-// "kernels", default BENCH_micro_kernels.json) that
+// "kernels", default BENCH_micro_kernels.json, with "pinned": true when
+// the process may run on one CPU only, e.g. under `taskset -c N`) that
 // scripts/append_bench_history.py folds into the committed bench
 // trajectory — informational wall-ms, not a gate; the exact-counter gates
 // live elsewhere. The paper's experiments are `wmatch_cli bench
@@ -39,6 +40,10 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "core/layered_graph.h"
 #include "core/tau.h"
@@ -235,10 +240,24 @@ std::uint64_t heap_fork_scratch() {
   return sum;
 }
 
+/// Whether this process may run on one CPU only (e.g. under `taskset -c
+/// N`): pinned timings are comparable from run to run, unpinned ones
+/// spread with the scheduler's placement.
+bool pinned_to_one_cpu() {
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  return sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) == 1;
+#else
+  return false;
+#endif
+}
+
 void write_kernels_json(std::ostream& os,
                         const std::vector<KernelResult>& results) {
   os << "{\n \"bench\": \"micro_kernels\",\n \"schema_version\": 1,\n"
-     << " \"kind\": \"kernels\",\n \"results\": [\n";
+     << " \"kind\": \"kernels\",\n \"pinned\": "
+     << (pinned_to_one_cpu() ? "true" : "false") << ",\n \"results\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const KernelResult& r = results[i];
     os << "  {\"id\": \"" << r.id << "\", \"skipped\": false, "

@@ -117,8 +117,8 @@ std::uint64_t tau_pairs_checksum(const Inputs& in, PairsFn&& pairs) {
 
 /// The tau-useful kernel: the pairs find_class_augmentations builds, i.e.
 /// pairs_for_values_if filtered by the class's BucketedEdges::admits.
-/// A reference with the same checksum filters pairs_for_values by an
-/// independent build.
+/// A reference with the same checksum keeps the pairs_for_values pairs
+/// whose independently built layered graph holds an augmenting path.
 inline std::uint64_t tau_useful_checksum(const Inputs& in) {
   return class_pairs_checksum(in, [&](const ClassInput& c, Rng& rng) {
     return core::pairs_for_values_if(

@@ -7,12 +7,14 @@
 // embeds it verbatim). Unknown commands, flags and names, malformed flag
 // values or job lines, and unreadable --input files exit 2 with a one-line
 // error; runtime failures exit 1.
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -600,12 +602,29 @@ int cmd_solve(Options& opt) {
     usage_error("--input=" + opt.input_path + ": " + e.what());
   }
 
+  // Exact jobs run first: each caches its instance's optimum, so no
+  // with_optimum job solves the instance again. Jobs keep the ids of their
+  // --algo positions, and the lines print in --algo order.
+  const api::Registry& registry = api::Registry::instance();
+  std::vector<std::size_t> order(opt.algos.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_partition(order.begin(), order.end(), [&](std::size_t i) {
+    return registry.contains(opt.algos[i]) &&
+           registry.info(opt.algos[i]).guarantee == 1.0;
+  });
   std::vector<service::JobSpec> jobs;
-  for (const std::string& algo : opt.algos) {
-    job.solver = algo;
+  for (const std::size_t i : order) {
+    job.solver = opt.algos[i];
+    job.id = "job-" + std::to_string(i);
     jobs.push_back(job);
   }
-  const service::BatchResult result = scheduler.run(jobs);
+  service::BatchResult result = scheduler.run(jobs);
+  std::vector<service::JobResult> in_algo_order(order.size());
+  for (std::size_t j = 0; j < order.size(); ++j) {
+    in_algo_order[order[j]] = std::move(result.results[j]);
+    in_algo_order[order[j]].index = order[j];
+  }
+  result.results = std::move(in_algo_order);
   if (opt.json) {
     for (const service::JobResult& r : result.results) {
       service::print_job_json(std::cout, r);

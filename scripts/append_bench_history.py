@@ -27,7 +27,10 @@ missing). Per bench document:
 
 Documents marked "kind": "kernels" (bench_micro_kernels --json) also get
 a "kernels": {"<kernel id>": median_ms} map in their summary, so each
-micro-kernel tracks as its own trajectory line. Documents marked
+micro-kernel tracks as its own trajectory line, and "pinned": true|false,
+whether the run was confined to one CPU (the document's own "pinned"
+field; absent means false). Unpinned kernel timings spread far wider, so
+a pinned line is not comparable with an unpinned one. Documents marked
 "kind": "trace_report" (scripts/trace_report.py --json) likewise get a
 "segments": {"<segment id>": median_ms} map — the per-request critical
 path (admission / queue wait / solve / response write) of the CI
@@ -90,6 +93,7 @@ def summarize(path):
             for r in doc["results"]
             if not r.get("skipped") and "wall_ms" in r
         }
+        summary["pinned"] = doc.get("pinned") is True
     if doc.get("kind") == "trace_report":
         # Critical-path documents (trace_report.py --json): one named
         # line per request segment, so a queue-wait regression is visible
@@ -115,6 +119,8 @@ def combine(runs):
     }
     for key in ("latency_ms_p95", "latency_ms_p99"):
         summary[key] = round(statistics.median(r[key] for r in runs), 3)
+    if "pinned" in runs[0]:
+        summary["pinned"] = all(r["pinned"] for r in runs)
     for key in ("kernels", "segments"):
         if key in runs[0]:
             summary[key] = {

@@ -58,11 +58,14 @@ BucketedEdges bucket_edges(const CrossingEdges& edges, Weight unit, int umax) {
   for (std::size_t v = 0; v < tag.size(); ++v) {
     if (edges.free[v]) tag[v] = 0;
   }
+  out.mate.assign(edges.free.size(), kNoVertex);
   for (const Edge& e : edges.matched) {
     Weight units = (e.w + unit - 1) / unit;  // ceil: w in ((a-1)U, aU]
     if (units >= 1 && units <= umax) {
       out.matched[static_cast<std::size_t>(units)].push_back(e);
       tag[e.u] = tag[e.v] = static_cast<int>(units);
+      out.mate[e.u] = e.v;
+      out.mate[e.v] = e.u;
     }
   }
   for (const Edge& e : edges.unmatched) {
@@ -94,6 +97,14 @@ BucketedEdges bucket_edges(const CrossingEdges& edges, Weight unit, int umax) {
     out.grouped.push_back(e);
   }
   out.group_begin.push_back(static_cast<std::uint32_t>(out.grouped.size()));
+
+  // The reach walk's side index: each group's endpoints sorted by u.
+  out.by_u.reserve(out.grouped.size());
+  for (const Edge& e : out.grouped) out.by_u.push_back({e.u, e.v});
+  for (std::size_t i = 0; i + 1 < out.group_begin.size(); ++i) {
+    std::sort(out.by_u.begin() + out.group_begin[i],
+              out.by_u.begin() + out.group_begin[i + 1]);
+  }
   return out;
 }
 
@@ -113,16 +124,21 @@ std::vector<int> BucketedEdges::unmatched_values() const {
   return out;
 }
 
-std::span<const Edge> BucketedEdges::gap(int tag_u, int b, int tag_v) const {
+std::size_t BucketedEdges::group_index(int tag_u, int b, int tag_v) const {
   const int umax = static_cast<int>(unmatched.size()) - 1;
   if (tag_u < 0 || tag_u > umax || b < 1 || b > umax || tag_v < 0 ||
       tag_v > umax) {
-    return {};
+    return group_keys.size();
   }
   const std::uint64_t key = group_key(tag_u, b, tag_v, umax);
   const auto it = std::lower_bound(group_keys.begin(), group_keys.end(), key);
-  if (it == group_keys.end() || *it != key) return {};
-  const auto i = static_cast<std::size_t>(it - group_keys.begin());
+  if (it == group_keys.end() || *it != key) return group_keys.size();
+  return static_cast<std::size_t>(it - group_keys.begin());
+}
+
+std::span<const Edge> BucketedEdges::gap(int tag_u, int b, int tag_v) const {
+  const std::size_t i = group_index(tag_u, b, tag_v);
+  if (i == group_keys.size()) return {};
   return {grouped.data() + group_begin[i], grouped.data() + group_begin[i + 1]};
 }
 
@@ -153,13 +169,57 @@ bool BucketedEdges::admits(std::span<const int> tau_a,
       return false;
     }
   }
-  // Y edges between consecutive layers (u in R at t, v in L at t+1): gap
-  // t is the index group (layer_tag(t), tau_b[t], layer_tag(t + 1)).
+
+  // Gap t's edges (u in R at layer t, v in L at layer t+1), sorted by u.
+  // An empty group anywhere cuts every path, so all are looked up first.
+  steps_.clear();
   for (std::size_t t = 0; t < tau_b.size(); ++t) {
-    if (!gap(layer_tag(tau_a, t), tau_b[t], layer_tag(tau_a, t + 1))
-             .empty()) {
-      return true;
+    const std::size_t i = group_index(layer_tag(tau_a, t), tau_b[t],
+                                      layer_tag(tau_a, t + 1));
+    if (i == group_keys.size()) return false;
+    steps_.emplace_back(by_u.data() + group_begin[i],
+                        by_u.data() + group_begin[i + 1]);
+  }
+  if (steps_.size() == 1) return true;
+
+  // Each walked layer gets a fresh stamp value, so stamp_[v] == epoch_
+  // means "v is already on the frontier being filled".
+  if (stamp_.size() < mate.size()) stamp_.assign(mate.size(), 0);
+  const auto reach = [&](std::span<const Arc> step) {
+    for (const Arc& a : step) {
+      if (stamp_[a.v] == epoch_) continue;
+      stamp_[a.v] = epoch_;
+      next_.push_back(a.v);
     }
+  };
+  const auto next_layer = [&] {
+    std::swap(frontier_, next_);
+    next_.clear();
+    if (++epoch_ == 0) {
+      std::fill(stamp_.begin(), stamp_.end(), 0);
+      epoch_ = 1;
+    }
+  };
+
+  // Layer 1's L vertices: every v end of gap 0 (layer 0's vertices are
+  // all M_L'-free).
+  next_layer();
+  reach(steps_[0]);
+  for (std::size_t t = 1; t < steps_.size(); ++t) {
+    next_layer();
+    const std::span<const Arc> step = steps_[t];
+    for (const Vertex l : frontier_) {
+      // l's X edge leads to its mate r, the R vertex of layer t.
+      const Vertex r = mate[l];
+      const auto lo = std::lower_bound(
+          step.begin(), step.end(), r,
+          [](const Arc& a, Vertex u) { return a.u < u; });
+      if (lo == step.end() || lo->u != r) continue;
+      if (t + 1 == steps_.size()) return true;  // into the free last layer
+      reach({lo, std::find_if(lo, step.end(),
+                              [r](const Arc& a) { return a.u != r; })});
+    }
+    if (next_.empty()) return false;
   }
   return false;
 }

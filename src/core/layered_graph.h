@@ -26,6 +26,7 @@
 // costs what it emits (DESIGN.md §10).
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -51,7 +52,9 @@ struct LayeredGraph {
   std::vector<Vertex> original; ///< compressed id -> original vertex
   std::vector<std::uint16_t> layer_of;  ///< compressed id -> layer (1-based)
   std::size_t layers = 0;       ///< k+1
-  std::size_t num_between_edges = 0;  ///< |Y|: 0 means the graph is useless
+  /// |Y|. 0 only in build_layered_graph's answer for a useless pair; a
+  /// built L' holds an augmenting path, so it has at least one Y edge.
+  std::size_t num_between_edges = 0;
 };
 
 /// Pre-filtered view of (G, M) under one parametrization: only L-R
@@ -79,6 +82,10 @@ CrossingEdges crossing_edges(const GraphView& g, const Matching& m,
 /// (tag(u), b, tag(v)), bucket order kept inside a group; only non-empty
 /// groups are stored, under sorted keys. Gap t of a pair is then exactly
 /// the group (tau_a[t], tau_b[t], tau_a[t+1]).
+///
+/// A BucketedEdges answers one admits() call at a time: the reach walk
+/// keeps its stamps and frontiers in the object (a class's buckets live
+/// on the class's own thread).
 struct BucketedEdges {
   Weight unit = 1;
   std::vector<std::vector<Edge>> matched;    ///< index = units (1-based)
@@ -94,12 +101,25 @@ struct BucketedEdges {
   /// [0, umax] (b outside [1, umax]).
   std::span<const Edge> gap(int tag_u, int b, int tag_v) const;
 
-  /// Whether the pair (tau_a, tau_b), |tau_a| == |tau_b| + 1, has a
-  /// useful layered graph: every positive tau_a and every tau_b names a
-  /// non-empty in-window bucket, and some gap group (tau_a[t], tau_b[t],
-  /// tau_a[t+1]) is non-empty (an intermediate tau_a of 0 admits no
-  /// vertex). This is LayeredGraphBuilder::build's reject test, so it
-  /// answers build(pair).has_value() in O(k log groups) without building;
+  /// Whether the pair (tau_a, tau_b), |tau_a| == |tau_b| + 1, is useful:
+  /// its layered graph L' holds an M_L'-augmenting path. Every
+  /// intermediate vertex of L' is M_L'-matched and every Y edge runs from
+  /// R at layer t to L at layer t+1, so such a path is an alternating path
+  /// from layer 0 to layer k: Y edge, X edge, Y edge, ..., Y edge. Without
+  /// one, M' xor M_L' has no augmenting component whatever the black box
+  /// returns, so the pair is not built or solved.
+  ///
+  /// First the O(k) fast reject: every positive tau_a and every tau_b must
+  /// name a non-empty in-window bucket. Then every gap's group is looked
+  /// up (an empty one cuts every path). Then a walk over the gap index:
+  /// the L vertices of layer 1 are the v ends of gap 0's group; from each
+  /// L vertex of layer t its mate (`mate`) is the R vertex of layer t, and
+  /// that vertex's edges in gap t's group (`by_u`) lead to layer t+1. The
+  /// walk stops at the first edge into layer k. An intermediate tau_a of
+  /// 0 admits no vertex. Vertices are stamped per layer, so a call costs
+  /// O(k log groups) plus O(log |group|) per reached vertex, and allocates
+  /// nothing once its frontiers have grown. This is LayeredGraphBuilder::
+  /// build's reject test (build(pair).has_value()), and
   /// find_class_augmentations passes it to pairs_for_values_if.
   bool admits(std::span<const int> tau_a, std::span<const int> tau_b) const;
 
@@ -108,26 +128,52 @@ struct BucketedEdges {
   std::vector<std::uint64_t> group_keys;
   std::vector<std::uint32_t> group_begin;  ///< one per group, plus the end
   std::vector<Edge> grouped;               ///< index edges, group by group
+
+  /// An index edge's endpoints: u in R, v in L.
+  struct Arc {
+    Vertex u = kNoVertex;
+    Vertex v = kNoVertex;
+    friend auto operator<=>(const Arc&, const Arc&) = default;
+  };
+  /// The reach walk's side index: group i's endpoints again, in
+  /// by_u[group_begin[i] .. group_begin[i + 1]), sorted by (u, v).
+  std::vector<Arc> by_u;
+  /// mate[v]: v's M-mate when v's matched edge lies in a matched bucket,
+  /// kNoVertex otherwise (one per vertex).
+  std::vector<Vertex> mate;
+
+ private:
+  /// The index of group (tag_u, b, tag_v), or group_keys.size() when it
+  /// is empty or an argument is out of range.
+  std::size_t group_index(int tag_u, int b, int tag_v) const;
+
+  mutable std::vector<std::uint32_t> stamp_;  ///< per vertex: last layer seen
+  mutable std::uint32_t epoch_ = 0;           ///< one value per walked layer
+  mutable std::vector<Vertex> frontier_, next_;
+  mutable std::vector<std::span<const Arc>> steps_;  ///< one per gap
 };
 
 BucketedEdges bucket_edges(const CrossingEdges& edges, Weight unit, int umax);
 
 /// Builds the layered graphs of many tau pairs, reusing its scratch from
-/// build to build. A build first runs BucketedEdges::admits, O(k log
-/// groups), and costs O(output) after: the gaps are read straight
+/// build to build. A build first runs BucketedEdges::admits (the reach
+/// walk) and costs O(output) after: the gaps are read straight
 /// from the gap index, and only a useful build copies its X edges and
 /// interns its vertices, in compressed-id slots indexed by t*n + v,
 /// allocated by the first useful build, grown to the deepest pair seen,
 /// and reset between builds by bumping an epoch stamp rather than by
 /// clearing. A class keeps one builder for all its (parametrization,
-/// pair) builds, so its ~480 builds share one O(max_layers * n) block.
+/// pair) builds, so they share one O(max_layers * n) block.
 /// Builders of different classes are independent; one builder runs one
 /// build at a time.
 class LayeredGraphBuilder {
  public:
   /// The layered graph L' for one good pair over pre-bucketed edges, or
-  /// nullopt when it has no between-layer edge (the pair is useless:
-  /// exactly when edges.admits(tau.tau_a, tau.tau_b) is false).
+  /// nullopt when the pair is useless: exactly when
+  /// edges.admits(tau.tau_a, tau.tau_b) is false, i.e. L' would hold no
+  /// M_L'-augmenting path. A built L' is the whole layered graph of the
+  /// pair (every gap's edges, dead ends included), not only the part on a
+  /// layer-0 -> layer-k path.
   /// The build runs on the calling thread. `m` and `rt` are unread (M
   /// enters through the buckets' vertex tags) and kept so existing
   /// callers compile. The output is identical for any earlier use of the
@@ -149,8 +195,9 @@ class LayeredGraphBuilder {
   std::vector<std::span<const Edge>> gaps_;
 };
 
-/// One-shot form of LayeredGraphBuilder::build: a useless pair comes back
-/// with `layers` set and everything else empty.
+/// One-shot form of LayeredGraphBuilder::build: a useless pair (admits
+/// false) comes back with `layers` set and everything else empty, so
+/// `num_between_edges > 0` is the same usefulness test as admits.
 LayeredGraph build_layered_graph(const BucketedEdges& edges,
                                  const Matching& m, const Parametrization& par,
                                  const TauPair& tau, std::size_t n,

@@ -67,7 +67,8 @@ SingleClassResult find_class_augmentations(const GraphView& g,
   for (const auto& b : buckets.unmatched) bucket_words += b.size();
   meter.add(bucket_words);
 
-  // Useless pairs are dropped as they are drawn: every pair left builds.
+  // Pairs whose L' cannot augment are dropped as they are drawn: every
+  // pair left builds and goes to the black box.
   const std::vector<TauPair> pairs = pairs_for_values_if(
       buckets.matched_values(), buckets.unmatched_values(), tau_cfg, rng,
       [&buckets](std::span<const int> tau_a, std::span<const int> tau_b) {

@@ -3,8 +3,9 @@
 // For a fixed class weight W: draw a random L/R bipartition, bucket the
 // crossing edges by quantized weight (with the gap index of
 // layered_graph.h), and enumerate the good (tau^A, tau^B) pairs, dropping
-// the useless ones as they are drawn (BucketedEdges::admits, O(k) index
-// lookups per distinct pair). For every pair left, build the layered
+// as they are drawn the useless ones, whose L' holds no augmenting path
+// (BucketedEdges::admits, a layer-0 -> layer-k reach walk over the gap
+// index). For every pair left, build the layered
 // graph L' in O(|L'|), solve it with the unweighted bipartite
 // black box, extract the augmenting paths of
 // M' ∪ M_{L'}, translate them back to G, decompose every translated walk
@@ -66,8 +67,9 @@ struct SingleClassOptions {
 /// The tau pairs are generated internally per class via
 /// pairs_for_values_if, restricted to the quantized weights that occur
 /// under this class's unit (see tau.h for the substitution rationale) and
-/// filtered by BucketedEdges::admits, so the draws and the black-box
-/// calls are those of building every pairs_for_values pair.
+/// filtered by BucketedEdges::admits, so the draws are pairs_for_values'
+/// and the black box is called only on layered graphs that can augment;
+/// the augmentations are those of solving every pair (DESIGN.md §2).
 SingleClassResult find_class_augmentations(const GraphView& g,
                                            const Matching& m,
                                            Weight w_class,

@@ -231,6 +231,29 @@ else
   sed 's/^/    /' "$tmpdir/solve.jsonl" "$tmpdir/batch.jsonl"
   failures=$((failures + 1))
 fi
+# An exact job runs before the with_optimum jobs of its instance, so its
+# optimum serves them: one Blossom solve in all (greedy listed first), and
+# the lines still come in --algo order under their --algo position ids.
+"$bin" solve --algo=greedy,exact-blossom --gen=erdos_renyi --n=40 --m=100 \
+  --seed=3 --json --with-optimum --trace="$tmpdir/optimum-trace.json" \
+  > "$tmpdir/optimum.jsonl" 2>/dev/null
+if python3 -c '
+import json, sys
+events = json.load(open(sys.argv[1]))["traceEvents"]
+spans = sum(1 for e in events if e["name"] == "exact.blossom" and e["ph"] == "B")
+lines = [json.loads(line) for line in open(sys.argv[2])]
+order = [(o["id"], o["algorithm"]) for o in lines]
+ratios = [o["matching"]["ratio"] for o in lines]
+sys.exit(0 if spans == 1 and ratios[1] == 1 and order ==
+         [("job-0", "greedy"), ("job-1", "exact-blossom")] else 1)
+' "$tmpdir/optimum-trace.json" "$tmpdir/optimum.jsonl"; then
+  echo "ok: solve --with-optimum runs Blossom once beside exact-blossom"
+else
+  echo "FAIL: solve --algo=greedy,exact-blossom --with-optimum: want one"
+  echo "      exact.blossom span and lines in --algo order"
+  sed 's/^/    /' "$tmpdir/optimum.jsonl"
+  failures=$((failures + 1))
+fi
 # planted optima need no --with-optimum (hard-four-cycle: greedy gets 0.7)
 expect_error 0 '"optimum":81920,"ratio":0.7}' \
   solve --algo=greedy --gen=hard-four-cycle --n=40 --json

@@ -4,11 +4,17 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "api/solver.h"
+#include "core/decompose.h"
 #include "core/layered_graph.h"
+#include "core/main_alg.h"
+#include "core/matcher.h"
 #include "gen/generators.h"
 #include "gen/weights.h"
+#include "graph/augmentation.h"
 #include "hot_path.h"
 #include "runtime/thread_pool.h"
+#include "sweep/presets.h"
 #include "util/rng.h"
 
 namespace wmatch {
@@ -306,12 +312,53 @@ LayeredGraph reference_build(const core::BucketedEdges& edges,
   return out;
 }
 
+/// The usefulness oracle: whether `lg.lprime` holds an `lg.ml`-augmenting
+/// path, by a plain alternating BFS over the whole bipartite graph. It
+/// starts from every free R vertex, leaves R vertices by unmatched edges
+/// and L vertices by their matched edge, and succeeds on reaching a free L
+/// vertex. It reads no layer numbers, so it does not assume that such a
+/// path runs from layer 0 to layer k.
+bool has_augmenting_path(const LayeredGraph& lg) {
+  const GraphView& g = lg.lprime;
+  const Matching& ml = lg.ml;
+  std::vector<char> seen(g.num_vertices(), 0);
+  std::vector<Vertex> queue;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    if (lg.side[v] == 1 && !ml.is_matched(v)) {
+      seen[v] = 1;
+      queue.push_back(v);
+    }
+  }
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const Vertex r = queue[head];
+    for (const Vertex l : g.neighbors(r)) {
+      if (seen[l] || ml.contains(r, l)) continue;
+      seen[l] = 1;
+      if (!ml.is_matched(l)) return true;
+      const Vertex next = ml.mate(l);
+      if (!seen[next]) {
+        seen[next] = 1;
+        queue.push_back(next);
+      }
+    }
+  }
+  return false;
+}
+
+/// What build_layered_graph returns for a useless pair of `layers` layers.
+LayeredGraph useless_graph(std::size_t layers) {
+  LayeredGraph out;
+  out.layers = layers;
+  return out;
+}
+
 /// Reference for bucket_edges: the buckets as before the gap index, and
 /// the index by brute force — every (tag_u, b, tag_v) triple in key order
 /// (tags 0..umax, b 1..umax), each group the bucket-b edges whose
 /// endpoints carry those tags, where a vertex's tag is a if its M edge is
 /// a crossing edge of matched bucket a, 0 if it is M-free, and none
-/// otherwise.
+/// otherwise. The mates are those of the bucketed matched edges, and the
+/// side index holds each group's (u, v) pairs in sorted order.
 core::BucketedEdges reference_bucket_edges(const CrossingEdges& edges,
                                            Weight unit, int umax) {
   core::BucketedEdges out;
@@ -323,11 +370,14 @@ core::BucketedEdges reference_bucket_edges(const CrossingEdges& edges,
   for (std::size_t v = 0; v < tag.size(); ++v) {
     if (edges.free[v]) tag[v] = 0;
   }
+  out.mate.assign(edges.free.size(), kNoVertex);
   for (const Edge& e : edges.matched) {
     const Weight a = (e.w + unit - 1) / unit;
     if (a < 1 || a > umax) continue;
     out.matched[static_cast<std::size_t>(a)].push_back(e);
     tag[e.u] = tag[e.v] = static_cast<int>(a);
+    out.mate[e.u] = e.v;
+    out.mate[e.v] = e.u;
   }
   for (const Edge& e : edges.unmatched) {
     const Weight b = e.w / unit;
@@ -352,6 +402,15 @@ core::BucketedEdges reference_bucket_edges(const CrossingEdges& edges,
     }
   }
   out.group_begin.push_back(static_cast<std::uint32_t>(out.grouped.size()));
+  for (std::size_t i = 0; i + 1 < out.group_begin.size(); ++i) {
+    std::vector<std::pair<Vertex, Vertex>> arcs;
+    for (std::uint32_t j = out.group_begin[i]; j < out.group_begin[i + 1];
+         ++j) {
+      arcs.emplace_back(out.grouped[j].u, out.grouped[j].v);
+    }
+    std::sort(arcs.begin(), arcs.end());
+    for (const auto& [u, v] : arcs) out.by_u.push_back({u, v});
+  }
   return out;
 }
 
@@ -407,13 +466,17 @@ Matching greedy_matching(const GraphView& g) {
 }
 
 /// Builds every pair pairs_for_values yields for `g` under two
-/// parametrizations, with `builder` and with the reference, and compares.
-/// Returns the number of builds whose gap buckets held at least
-/// runtime::kParallelWorkCutoff candidate edges (the large ones).
+/// parametrizations, with `builder` and with the reference, and compares:
+/// admits, build's has_value() and the oracle on the reference graph agree,
+/// and a built graph equals the reference field for field. Returns the
+/// number of builds whose gap buckets held at least
+/// runtime::kParallelWorkCutoff candidate edges (the large ones); `dead`
+/// counts the pairs whose reference graph has Y edges but no augmenting
+/// path (built before the reach test, skipped now).
 std::size_t check_against_reference(core::LayeredGraphBuilder& builder,
                                     const GraphView& g, Weight w_class,
                                     const core::TauConfig& tcfg, Rng& rng,
-                                    std::size_t& useful) {
+                                    std::size_t& useful, std::size_t& dead) {
   const Matching m = greedy_matching(g);
   const std::size_t n = g.num_vertices();
   std::size_t large = 0;
@@ -432,15 +495,19 @@ std::size_t check_against_reference(core::LayeredGraphBuilder& builder,
       }
       if (gap_work >= runtime::kParallelWorkCutoff) ++large;
       const LayeredGraph want = reference_build(buckets, m, par, tau, n);
+      const bool reaches = has_augmenting_path(want);
+      if (!reaches && want.num_between_edges > 0) ++dead;
+      EXPECT_EQ(buckets.admits(tau.tau_a, tau.tau_b), reaches);
       const std::optional<LayeredGraph> got =
           builder.build(buckets, m, par, tau, n);
-      EXPECT_EQ(got.has_value(), want.num_between_edges > 0);
+      EXPECT_EQ(got.has_value(), reaches);
       if (got) {
         ++useful;
         EXPECT_TRUE(same_layered(*got, want));
       }
       EXPECT_TRUE(same_layered(
-          core::build_layered_graph(buckets, m, par, tau, n), want));
+          core::build_layered_graph(buckets, m, par, tau, n),
+          reaches ? want : useless_graph(tau.num_layers())));
     }
   }
   return large;
@@ -452,7 +519,7 @@ TEST(LayeredGraphBuilderTest, MatchesReferenceOnRandomInstances) {
   // mis-sized slot block would show as a field mismatch.
   core::LayeredGraphBuilder builder;
   Rng rng(21);
-  std::size_t useful = 0;
+  std::size_t useful = 0, dead = 0;
   for (int inst = 0; inst < 6; ++inst) {
     const std::size_t n = 40 + 30 * static_cast<std::size_t>(inst);
     Graph raw = gen::erdos_renyi(n, 5 * n, rng);
@@ -463,9 +530,11 @@ TEST(LayeredGraphBuilderTest, MatchesReferenceOnRandomInstances) {
     core::TauConfig tcfg;
     tcfg.max_layers = 2 + static_cast<std::size_t>(inst) % 7;
     tcfg.max_pairs = 1500;
-    check_against_reference(builder, g, 40 + 30 * inst, tcfg, rng, useful);
+    check_against_reference(builder, g, 40 + 30 * inst, tcfg, rng, useful,
+                            dead);
   }
   EXPECT_GT(useful, 100u);
+  EXPECT_GT(dead, 100u);
 }
 
 TEST(LayeredGraphBuilderTest, MatchesReferenceOnPoolSizedBuilds) {
@@ -482,12 +551,30 @@ TEST(LayeredGraphBuilderTest, MatchesReferenceOnPoolSizedBuilds) {
   tcfg.max_layers = 8;
   tcfg.max_pairs = 300;
   core::LayeredGraphBuilder builder;
-  std::size_t useful = 0;
+  std::size_t useful = 0, dead = 0;
   Rng pass_rng(23);
   const std::size_t large =
-      check_against_reference(builder, g, 8, tcfg, pass_rng, useful);
+      check_against_reference(builder, g, 8, tcfg, pass_rng, useful, dead);
   EXPECT_GT(large, 0u);
   EXPECT_GT(useful, 0u);
+}
+
+/// The builder's answer, checked field for field against the reference
+/// (nullopt exactly when the reference graph has no augmenting path, and
+/// exactly when admits() says no).
+std::optional<LayeredGraph> checked_build(core::LayeredGraphBuilder& builder,
+                                          const core::BucketedEdges& buckets,
+                                          const Matching& m,
+                                          const Parametrization& par,
+                                          const TauPair& tau, std::size_t n) {
+  const LayeredGraph want = reference_build(buckets, m, par, tau, n);
+  std::optional<LayeredGraph> got = builder.build(buckets, m, par, tau, n);
+  EXPECT_EQ(got.has_value(), has_augmenting_path(want));
+  EXPECT_EQ(buckets.admits(tau.tau_a, tau.tau_b), got.has_value());
+  if (got) {
+    EXPECT_TRUE(same_layered(*got, want));
+  }
+  return got;
 }
 
 /// The gap-index edge cases, on one instance with unit 4 and umax 4. R
@@ -520,19 +607,8 @@ class GapIndexFixture : public ::testing::Test {
                                   kUmax);
   }
 
-  /// The builder's answer, checked field for field against the reference
-  /// (nullopt exactly when the reference is useless, and exactly when
-  /// admits() says no).
   std::optional<LayeredGraph> build_checked(const TauPair& tau) {
-    const LayeredGraph want = reference_build(buckets_, m_, par_, tau, kN);
-    std::optional<LayeredGraph> got =
-        builder_.build(buckets_, m_, par_, tau, kN);
-    EXPECT_EQ(got.has_value(), want.num_between_edges > 0);
-    EXPECT_EQ(buckets_.admits(tau.tau_a, tau.tau_b), got.has_value());
-    if (got) {
-      EXPECT_TRUE(same_layered(*got, want));
-    }
-    return got;
+    return checked_build(builder_, buckets_, m_, par_, tau, kN);
   }
 
   /// Original ids of the vertices in layer `layer` (1-based).
@@ -564,13 +640,16 @@ TEST_F(GapIndexFixture, EmptyMatchedBucketRejectsDespiteANonEmptyGap) {
 
 TEST_F(GapIndexFixture, IntermediateZeroAdmitsNoVertex) {
   // Free R -> free L edges exist (group (0, 1, 0)), but an intermediate
-  // layer with threshold 0 keeps no vertex: only gap 0 survives here.
+  // layer with threshold 0 keeps no vertex, so no path crosses it. In the
+  // second pair gap 0 has edges (L' is not empty) and still no path
+  // reaches the last layer.
   ASSERT_FALSE(buckets_.gap(0, 1, 0).empty());
   EXPECT_FALSE(build_checked({{0, 0, 0}, {1, 1}}));
-  const auto lg = build_checked({{0, 2, 0, 0}, {1, 1, 1}});
-  ASSERT_TRUE(lg);
-  EXPECT_TRUE(layer(*lg, 3).empty());
-  EXPECT_TRUE(layer(*lg, 4).empty());
+  ASSERT_FALSE(buckets_.gap(0, 1, 2).empty());
+  EXPECT_GT(reference_build(buckets_, m_, par_, {{0, 2, 0, 0}, {1, 1, 1}}, kN)
+                .num_between_edges,
+            0u);
+  EXPECT_FALSE(build_checked({{0, 2, 0, 0}, {1, 1, 1}}));
 }
 
 TEST_F(GapIndexFixture, EndpointZeroAdmitsOnlyFreeVertices) {
@@ -646,6 +725,77 @@ TEST_F(GapIndexFixture, AdmitsMatchesBuildOnRandomPairs) {
     if (build_checked(tau)) ++admitted;
   }
   EXPECT_GT(admitted, 50u);
+}
+
+/// The reach walk's cases, on one instance with unit 4: R vertices 0, 1,
+/// 2 and L vertices 3, 4, 5. M holds (4,1) w6 and (5,2) w6 (bucket 2); 0
+/// and 3 are free. The unmatched edges are (0,4) w5 and (2,3) w5 (bucket
+/// 1), (1,3) w9 (bucket 2) and (1,5) w13 (bucket 3). So from the free R
+/// vertex 0 the only alternating walk is 0 - 4 = 1, then 1 - 3 (bucket 2)
+/// or 1 - 5 = 2 - 3 (buckets 3 and 1).
+class ReachFixture : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kN = 6;
+
+  ReachFixture() : m_(kN), par_{1, 1, 1, 0, 0, 0} {
+    Graph g(kN);
+    for (const Edge& e : {Edge{4, 1, 6}, Edge{5, 2, 6}}) {
+      g.add_edge(e.u, e.v, e.w);
+      m_.add(e);
+    }
+    g.add_edge(0, 4, 5);
+    g.add_edge(2, 3, 5);
+    g.add_edge(1, 3, 9);
+    g.add_edge(1, 5, 13);
+    g_ = freeze(std::move(g));
+    buckets_ =
+        core::bucket_edges(core::crossing_edges(g_, m_, par_), 4, 4);
+  }
+
+  std::optional<LayeredGraph> build_checked(const TauPair& tau) {
+    return checked_build(builder_, buckets_, m_, par_, tau, kN);
+  }
+  /// Whether the layered graph has a Y edge: the usefulness rule before
+  /// the reach walk ("some gap group is non-empty").
+  bool has_y_edge(const TauPair& tau) {
+    return reference_build(buckets_, m_, par_, tau, kN).num_between_edges >
+           0;
+  }
+
+  GraphView g_;
+  Matching m_;
+  Parametrization par_;
+  core::BucketedEdges buckets_;
+  core::LayeredGraphBuilder builder_;
+};
+
+TEST_F(ReachFixture, PathsThroughTheMateReach) {
+  EXPECT_TRUE(build_checked({{0, 2, 0}, {1, 2}}));        // 0-4=1-3
+  EXPECT_TRUE(build_checked({{0, 2, 2, 0}, {1, 3, 1}}));  // 0-4=1-5=2-3
+}
+
+TEST_F(ReachFixture, NonEmptyGroupThatNoLayerZeroVertexReaches) {
+  // Gap 1's group (2, 1, 0) holds 2 -> 3, but gap 0's group (0, 2, 2) is
+  // empty, so no walk from layer 0 gets there.
+  const TauPair tau{{0, 2, 0}, {2, 1}};
+  ASSERT_TRUE(buckets_.gap(0, 2, 2).empty());
+  ASSERT_FALSE(buckets_.gap(2, 1, 0).empty());
+  EXPECT_TRUE(has_y_edge(tau));
+  EXPECT_FALSE(build_checked(tau));
+}
+
+TEST_F(ReachFixture, DeadEndAtAnIntermediateLayer) {
+  // 0 - 4 = 1 reaches layer 1, but 1 has no bucket-1 edge to a free L
+  // vertex; group (2, 1, 0)'s edge 2 -> 3 leaves a vertex no walk reaches.
+  const TauPair shallow{{0, 2, 0}, {1, 1}};
+  EXPECT_TRUE(has_y_edge(shallow));
+  EXPECT_FALSE(build_checked(shallow));
+  // One layer deeper: 0 - 4 = 1 - 5 = 2 reaches layer 2, where 2 has no
+  // bucket-2 edge; group (2, 2, 0)'s edge 1 -> 3 starts at a vertex that
+  // is in layer 1, not layer 2.
+  const TauPair deep{{0, 2, 2, 0}, {1, 3, 2}};
+  EXPECT_TRUE(has_y_edge(deep));
+  EXPECT_FALSE(build_checked(deep));
 }
 
 TEST(PairsForValuesIf, EqualsPairsForValuesFilteredByBuild) {
@@ -730,6 +880,8 @@ TEST(BucketEdges, GapIndexMatchesBruteForce) {
       EXPECT_EQ(got.group_keys, want.group_keys);
       EXPECT_EQ(got.group_begin, want.group_begin);
       EXPECT_EQ(got.grouped, want.grouped);
+      EXPECT_EQ(got.by_u, want.by_u);
+      EXPECT_EQ(got.mate, want.mate);
     }
   }
   const bench::hot_path::Inputs in = bench::hot_path::ci_bipartite_inputs();
@@ -756,7 +908,7 @@ TEST(LayeredGraphBuilderTest, HotPathKernelChecksumMatchesReference) {
       in, [&](const ClassInput& c,
               const TauPair& tau) -> std::optional<LayeredGraph> {
         LayeredGraph lg = reference_build(c.buckets, in.m, c.par, tau, n);
-        if (lg.num_between_edges == 0) return std::nullopt;
+        if (!has_augmenting_path(lg)) return std::nullopt;
         return lg;
       });
   EXPECT_GT(useful, 0u);
@@ -766,7 +918,8 @@ TEST(LayeredGraphBuilderTest, HotPathKernelChecksumMatchesReference) {
 TEST(PairsForValuesIf, HotPathKernelChecksumMatchesReference) {
   // bench_micro_kernels' tau-useful kernel: the library's filtered pairs
   // hash like pairs_for_values' pairs (pinned to test_tau's reference)
-  // filtered by the reference build, generator states included.
+  // whose reference build holds an augmenting path, generator states
+  // included.
   using bench::hot_path::ClassInput;
   const bench::hot_path::Inputs in = bench::hot_path::ci_bipartite_inputs();
   const std::size_t n = in.g.num_vertices();
@@ -775,8 +928,8 @@ TEST(PairsForValuesIf, HotPathKernelChecksumMatchesReference) {
         std::vector<TauPair> useful;
         for (TauPair& tau :
              core::pairs_for_values(c.a_vals, c.b_vals, in.tau, rng)) {
-          if (reference_build(c.buckets, in.m, c.par, tau, n)
-                  .num_between_edges > 0) {
+          if (has_augmenting_path(
+                  reference_build(c.buckets, in.m, c.par, tau, n))) {
             useful.push_back(std::move(tau));
           }
         }
@@ -785,6 +938,154 @@ TEST(PairsForValuesIf, HotPathKernelChecksumMatchesReference) {
   EXPECT_EQ(bench::hot_path::tau_useful_checksum(in), want);
   EXPECT_NE(bench::hot_path::tau_useful_checksum(in),
             bench::hot_path::tau_pairs_checksum(in, core::pairs_for_values));
+}
+
+/// find_class_augmentations under the usefulness rule before the reach
+/// test: every pairs_for_values pair whose layered graph has a Y edge is
+/// built (by reference_build) and solved. Otherwise the library's class
+/// step: same draws, same augmentation extraction, same selection.
+/// `calls` counts the black-box calls.
+std::vector<Augmentation> old_rule_class(const GraphView& g,
+                                         const Matching& m, Weight w_class,
+                                         const core::TauConfig& tau_cfg,
+                                         double delta,
+                                         core::UnweightedMatcher& matcher,
+                                         Rng& rng, std::size_t& calls) {
+  const std::size_t n = g.num_vertices();
+  const Parametrization par = core::random_parametrization(n, rng);
+  const CrossingEdges crossing = core::crossing_edges(g, m, par);
+  if (crossing.unmatched.empty()) return {};
+  const core::BucketedEdges buckets = core::bucket_edges(
+      crossing, core::quantum(w_class, tau_cfg), core::max_units(tau_cfg));
+  std::vector<Augmentation> candidates;
+  for (const TauPair& pair :
+       core::pairs_for_values(buckets.matched_values(),
+                              buckets.unmatched_values(), tau_cfg, rng)) {
+    const LayeredGraph lg = reference_build(buckets, m, par, pair, n);
+    if (lg.num_between_edges == 0) continue;
+    ++calls;
+    const Matching mprime = matcher.solve(lg.lprime, lg.side, delta);
+    for (Augmentation& comp :
+         symmetric_difference_components(mprime, lg.ml)) {
+      if (comp.is_cycle) continue;
+      std::size_t in_mprime = 0;
+      for (const Edge& e : comp.edges) in_mprime += mprime.contains(e);
+      if (2 * in_mprime <= comp.edges.size()) continue;
+      std::vector<Edge> walk;
+      for (const Edge& e : comp.edges) {
+        walk.push_back({lg.original[e.u], lg.original[e.v], e.w});
+      }
+      Augmentation best;
+      Weight best_gain = 0;
+      for (Augmentation& piece : core::decompose_walk(walk)) {
+        if (!piece.is_valid_alternating(m)) continue;
+        const Weight gain = piece.gain(m);
+        if (gain > best_gain) {
+          best_gain = gain;
+          best = std::move(piece);
+        }
+      }
+      if (best_gain > 0) candidates.push_back(std::move(best));
+    }
+  }
+  std::stable_sort(candidates.begin(), candidates.end(),
+                   [&m](const Augmentation& x, const Augmentation& y) {
+                     return x.gain(m) > y.gain(m);
+                   });
+  std::vector<Augmentation> chosen;
+  for (std::size_t i : select_disjoint(candidates, m)) {
+    chosen.push_back(std::move(candidates[i]));
+  }
+  return chosen;
+}
+
+/// maximum_weight_matching's round loop over old_rule_class, serial, with
+/// the default ReductionConfig at `epsilon` and Rng(seed), as the
+/// reduction-hk / reduction-exact adapters call it.
+Matching old_rule_reduction(const GraphView& g, double epsilon,
+                            std::uint64_t seed,
+                            core::UnweightedMatcher& matcher,
+                            std::size_t& calls) {
+  core::ReductionConfig cfg;
+  cfg.epsilon = epsilon;
+  Weight min_w = g.max_weight();
+  for (const Edge& e : g.edges()) min_w = std::min(min_w, e.w);
+  std::vector<Weight> ladder;
+  for (double w = static_cast<double>(g.max_weight()) *
+                  static_cast<double>(cfg.tau.max_layers + 1);
+       w >= std::max(1.0, static_cast<double>(min_w)) &&
+       ladder.size() < cfg.max_classes;
+       w /= cfg.class_base) {
+    ladder.push_back(static_cast<Weight>(std::llround(w)));
+  }
+  Rng rng(seed);
+  Matching m(g.num_vertices());
+  const auto iters = static_cast<std::size_t>(std::ceil(8.0 / epsilon));
+  std::size_t stalls = 0;
+  for (std::size_t it = 0; it < iters && stalls < cfg.stall_patience; ++it) {
+    const std::uint64_t round_base = rng.next();
+    std::vector<std::vector<Augmentation>> found;
+    for (std::size_t i = 0; i < ladder.size(); ++i) {
+      Rng class_rng(runtime::task_seed(round_base, 2 * i));
+      found.push_back(old_rule_class(g, m, ladder[i], cfg.tau,
+                                     cfg.effective_delta(), matcher,
+                                     class_rng, calls));
+    }
+    std::vector<char> used(g.num_vertices(), 0);
+    Weight gain = 0;
+    for (const std::vector<Augmentation>& augs : found) {
+      for (const Augmentation& aug : augs) {
+        const std::vector<Vertex> touched = aug.touched_vertices(m);
+        if (std::any_of(touched.begin(), touched.end(),
+                        [&](Vertex v) { return used[v] != 0; }) ||
+            !aug.is_valid_alternating(m) || aug.gain(m) <= 0) {
+          continue;
+        }
+        for (Vertex v : touched) used[v] = 1;
+        gain += aug.apply(m);
+      }
+    }
+    stalls = gain == 0 ? stalls + 1 : 0;
+  }
+  return m;
+}
+
+TEST(ReachTest, ReductionMatchingsEqualBuildingEveryOldRulePair) {
+  // The ci preset's instances (bipartite and erdos_renyi n=200, the three
+  // hard-* families) at its epsilon and seed: reduction-hk and
+  // reduction-exact return, at 1 and 4 threads, exactly the matching of a
+  // reduction that builds and solves every pair with a Y edge. The pairs
+  // the reach test skips cannot augment, so skipping them changes nothing
+  // but the call count.
+  const sweep::SweepSpec ci = sweep::preset("ci");
+  const double epsilon = ci.epsilons.front();
+  const std::uint64_t seed = ci.seeds.front();
+  for (api::GenSpec gen : ci.instances) {
+    gen.seed = seed;
+    const api::Instance inst = api::generate_instance(gen);
+    for (const std::string algo : {"reduction-hk", "reduction-exact"}) {
+      std::size_t old_calls = 0;
+      core::HkStreamingMatcher hk;
+      core::ExactMatcher exact;
+      core::UnweightedMatcher& matcher =
+          algo == "reduction-hk" ? static_cast<core::UnweightedMatcher&>(hk)
+                                 : exact;
+      const Matching want =
+          old_rule_reduction(inst.graph, epsilon, seed, matcher, old_calls);
+      for (const std::size_t threads : {1, 4}) {
+        api::SolverSpec spec;
+        spec.epsilon = epsilon;
+        spec.seed = seed;
+        spec.runtime.num_threads = threads;
+        const api::SolveResult got = api::Solver(algo).solve(inst, spec);
+        EXPECT_EQ(got.matching, want)
+            << algo << " on " << gen.generator << " at " << threads
+            << " threads";
+        EXPECT_LT(got.cost.bb_invocations, old_calls)
+            << algo << " on " << gen.generator;
+      }
+    }
+  }
 }
 
 }  // namespace

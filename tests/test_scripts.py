@@ -154,6 +154,90 @@ class GateTest(unittest.TestCase):
         self.assertIn("schema_version mismatch", out)
 
 
+class BaselineEpochTest(unittest.TestCase):
+    """baseline_epoch.py BEFORE AFTER --registry=SOLVERS: the reviewed
+    diff of a baseline refresh."""
+
+    REGISTRY = [{"name": "greedy", "guarantee": 0.0},
+                {"name": "local-ratio", "guarantee": 0.5}]
+
+    def epoch(self, before, after, *flags):
+        with TempJson() as t:
+            return run("baseline_epoch.py",
+                       t.write("before.json", before),
+                       t.write("after.json", after),
+                       "--registry=" + t.write("solvers.json", self.REGISTRY),
+                       *flags)
+
+    def test_cost_counter_moves_are_printed_and_pass(self):
+        code, out = self.epoch(
+            bench_doc(bench_result(counters={"bb_invocations": 100}),
+                      bench_result(seed=2)),
+            bench_doc(bench_result(counters={"bb_invocations": 10}),
+                      bench_result(seed=2)))
+        self.assertEqual(code, 0, out)
+        self.assertIn("bb_invocations: 100 -> 10", out)
+        self.assertIn("1 moved, 1 unchanged", out)
+
+    def test_quality_change_needs_the_flag(self):
+        before = bench_doc(bench_result())
+        after = bench_doc(bench_result(counters={"matching_weight": 4300}))
+        code, out = self.epoch(before, after)
+        self.assertEqual(code, 1, out)
+        self.assertIn("matching_weight changed 4200 -> 4300", out)
+        code, out = self.epoch(before, after, "--allow-quality-change")
+        self.assertEqual(code, 0, out)
+        self.assertIn("matching_weight: 4200 -> 4300", out)
+
+    def test_ratio_below_registered_guarantee_fails(self):
+        before = bench_doc(bench_result(algorithm="local-ratio", ratio=0.6))
+        code, out = self.epoch(
+            before, bench_doc(bench_result(algorithm="local-ratio",
+                                           ratio=0.45)))
+        self.assertEqual(code, 1, out)
+        self.assertIn("ratio: 0.6 -> 0.45", out)
+        self.assertIn("below the registered guarantee 0.5", out)
+        code, out = self.epoch(
+            before, bench_doc(bench_result(algorithm="local-ratio",
+                                           ratio=0.55)))
+        self.assertEqual(code, 0, out)
+
+    def test_unregistered_solver_with_a_ratio_fails(self):
+        doc = bench_doc(bench_result(algorithm="mystery", ratio=0.9))
+        code, out = self.epoch(doc, doc)
+        self.assertEqual(code, 1, out)
+        self.assertIn("solver mystery is not in the registry", out)
+
+    def test_missing_cell_and_skipped_flip_fail(self):
+        code, out = self.epoch(
+            bench_doc(bench_result(), bench_result(seed=2)),
+            bench_doc(bench_result()))
+        self.assertEqual(code, 1, out)
+        self.assertIn("missing from", out)
+        code, out = self.epoch(bench_doc(bench_result()),
+                               bench_doc(bench_result(skipped=True)))
+        self.assertEqual(code, 1, out)
+        self.assertIn("skipped flag changed", out)
+
+    def test_write_replaces_the_baseline_only_on_a_clean_diff(self):
+        before = bench_doc(bench_result(counters={"bb_invocations": 9}))
+        cheaper = bench_doc(bench_result(counters={"bb_invocations": 3}))
+        heavier = bench_doc(bench_result(counters={"matching_size": 80}))
+        with TempJson() as t:
+            base = t.write("base.json", before)
+            reg = "--registry=" + t.write("solvers.json", self.REGISTRY)
+            code, out = run("baseline_epoch.py", base,
+                            t.write("heavier.json", heavier), reg, "--write")
+            self.assertEqual(code, 1, out)
+            with open(base) as f:
+                self.assertEqual(json.load(f), before)
+            code, out = run("baseline_epoch.py", base,
+                            t.write("cheaper.json", cheaper), reg, "--write")
+            self.assertEqual(code, 0, out)
+            with open(base) as f:
+                self.assertEqual(json.load(f), cheaper)
+
+
 class InvarianceTest(unittest.TestCase):
     """check_bench_regression.py invariance A B."""
 
@@ -592,12 +676,51 @@ class AppendHistoryTest(unittest.TestCase):
             self.assertEqual(benches["micro_kernels"]["wall_ms_total_mad"], 0)
             self.assertEqual(benches["micro_kernels"]["kernels"],
                              {"blossom": 2.5})
+            self.assertIs(benches["micro_kernels"]["pinned"], False)
 
             # Runs of one bench must cover the same cells.
             code, out = run("append_bench_history.py", hist, docs[0],
                             t.write("short.json", sweep([1])))
             self.assertEqual(code, 1, out)
             self.assertIn("has 1 cells", out)
+
+
+    def test_kernels_document_records_whether_the_run_was_pinned(self):
+        def kernels(pinned):
+            doc = {"schema_version": 1, "kind": "kernels",
+                   "bench": "micro_kernels",
+                   "results": [{"id": "tau-pairs",
+                                "wall_ms": {"median": 6.0, "min": 5.8},
+                                "skipped": False}]}
+            if pinned is not None:
+                doc["pinned"] = pinned
+            return doc
+
+        def appended(*docs):
+            with TempJson() as t:
+                hist = os.path.join(t.dir.name, "hist.json")
+                paths = [t.write(f"k{i}.json", d) for i, d in enumerate(docs)]
+                code, out = run("append_bench_history.py", hist, *paths,
+                                "--sha=abc123", "--date=2026-01-01")
+                self.assertEqual(code, 0, out)
+                with open(hist) as f:
+                    return json.load(f)["entries"][0]["benches"]
+
+        self.assertIs(appended(kernels(True))["micro_kernels"]["pinned"],
+                      True)
+        self.assertIs(appended(kernels(False))["micro_kernels"]["pinned"],
+                      False)
+        # A document from before the field: not pinned.
+        self.assertIs(appended(kernels(None))["micro_kernels"]["pinned"],
+                      False)
+        # Repeated runs are pinned only if every run was.
+        self.assertIs(appended(kernels(True), kernels(False))
+                      ["micro_kernels"]["pinned"], False)
+        # Sweep documents carry no pinned field.
+        sweep = {"schema_version": 1, "bench": "ci_t1",
+                 "results": [{"id": 0, "wall_ms": {"median": 1.0},
+                              "skipped": False}]}
+        self.assertNotIn("pinned", appended(sweep)["ci_t1"])
 
 
 class LintInvariantsTest(unittest.TestCase):
