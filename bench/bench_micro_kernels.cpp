@@ -4,6 +4,9 @@
 //   tau-pairs       pairs_for_values over every class's value sets
 //   tau-useful      pairs_for_values_if with each class's
 //                   BucketedEdges::admits: the pairs the reduction builds
+//   tau-bounded     class_tau_pairs as a class's last parametrization
+//                   runs it: max_admitted_layers, then the sampler bounded
+//                   by it (the same pairs as tau-useful)
 //   buckets         bucket_edges (buckets + gap index) for every class
 //   layered-build   every class pair through one LayeredGraphBuilder
 //                   (over the buckets above: a class pays both)
@@ -296,6 +299,9 @@ int run_kernels(const Args& args) {
   results.push_back(run_kernel("tau-useful", [&] {
     return bench::hot_path::tau_useful_checksum(hot);
   }));
+  results.push_back(run_kernel("tau-bounded", [&] {
+    return bench::hot_path::tau_bounded_checksum(hot);
+  }));
   results.push_back(run_kernel("buckets", [&] {
     return bench::hot_path::buckets_checksum(hot, core::bucket_edges);
   }));
@@ -343,8 +349,10 @@ int run_kernels(const Args& args) {
   std::cout << "\nExpected shape: tau-useful, buckets and layered-build "
                "are the reduction's per-class scaffolding (the black box is "
                "not in them; tau-pairs is the unfiltered enumeration that "
-               "perfbench's replay builds pair by pair); blossom is the "
-               "random-arrival algorithms' exact step and hk-solve the "
+               "perfbench's replay builds pair by pair); tau-bounded, the "
+               "last parametrization's tau step, skips the samples of depths "
+               "no admitted pair reaches and undercuts tau-useful; blossom "
+               "is the random-arrival algorithms' exact step and hk-solve the "
                "serve workload's exact-hk solve; "
                "arena-fork-scratch amortizes away heap-fork-scratch's "
                "per-fork allocations.\n\n";

@@ -1,7 +1,9 @@
 // Inputs and checksums for the hot-path kernels: the reduction's tau-pair
-// enumeration (unfiltered, and filtered to the pairs that build), edge
-// bucketing and layered-graph builds, as find_class_augmentations runs
-// them, and the Blossom solve of the random-arrival algorithm's edge set T.
+// enumeration (unfiltered, filtered to the pairs that build, and bounded
+// by the deepest admitted pair as a class's last parametrization runs
+// it), edge bucketing and layered-graph builds, as
+// find_class_augmentations runs them, and the Blossom solve of the
+// random-arrival algorithm's edge set T.
 //
 // The inputs are the `ci` preset's bipartite reduction instance (n=200,
 // m=800, uniform weights up to 4096, seed 1) under its greedy-by-weight
@@ -26,6 +28,7 @@
 #include "baselines/local_ratio.h"
 #include "core/layered_graph.h"
 #include "core/main_alg.h"
+#include "core/single_class.h"
 #include "core/tau.h"
 #include "util/rng.h"
 
@@ -89,9 +92,10 @@ inline std::uint64_t fold(std::uint64_t h, std::uint64_t x) {
 }
 
 /// Folds every pair `pairs(class_input, rng)` returns for each class, and
-/// the class's generator state after enumeration.
+/// (with `fold_state`) the class's generator state after enumeration.
 template <typename ClassPairsFn>
-std::uint64_t class_pairs_checksum(const Inputs& in, ClassPairsFn&& pairs) {
+std::uint64_t class_pairs_checksum(const Inputs& in, ClassPairsFn&& pairs,
+                                   bool fold_state = true) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (const ClassInput& c : in.classes) {
     Rng rng(c.seed);
@@ -100,7 +104,7 @@ std::uint64_t class_pairs_checksum(const Inputs& in, ClassPairsFn&& pairs) {
       for (int a : p.tau_a) h = fold(h, static_cast<std::uint64_t>(a));
       for (int b : p.tau_b) h = fold(h, static_cast<std::uint64_t>(b));
     }
-    h = fold(h, rng.next());
+    if (fold_state) h = fold(h, rng.next());
   }
   return h;
 }
@@ -125,8 +129,22 @@ inline std::uint64_t tau_useful_checksum(const Inputs& in) {
         c.a_vals, c.b_vals, in.tau, rng,
         [&c](std::span<const int> tau_a, std::span<const int> tau_b) {
           return c.buckets.admits(tau_a, tau_b);
-        });
+        },
+        in.tau.max_layers);
   });
+}
+
+/// The tau-bounded kernel: the class tau step of a class's last
+/// parametrization (class_tau_pairs, bounded by max_admitted_layers).
+/// Its generator state is unspecified, so only the pairs are folded:
+/// they must hash like tau-useful's lists without the states.
+inline std::uint64_t tau_bounded_checksum(const Inputs& in) {
+  return class_pairs_checksum(
+      in,
+      [&](const ClassInput& c, Rng& rng) {
+        return core::class_tau_pairs(c.buckets, in.tau, rng, true);
+      },
+      false);
 }
 
 /// Folds every class's buckets and gap index (each group's key and

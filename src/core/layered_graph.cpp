@@ -1,6 +1,7 @@
 #include "core/layered_graph.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/require.h"
 
@@ -152,6 +153,9 @@ int layer_tag(std::span<const int> tau_a, std::size_t t) {
   return a == 0 && t != 0 && t + 1 != tau_a.size() ? -1 : a;
 }
 
+/// An unset cell of max_admitted_layers' DP.
+constexpr int kNoGain = std::numeric_limits<int>::min() / 2;
+
 }  // namespace
 
 bool BucketedEdges::admits(std::span<const int> tau_a,
@@ -222,6 +226,92 @@ bool BucketedEdges::admits(std::span<const int> tau_a,
     if (next_.empty()) return false;
   }
   return false;
+}
+
+std::size_t BucketedEdges::max_admitted_layers(std::size_t max_layers) const {
+  if (max_layers < 2 || group_keys.empty()) return 0;
+  const int umax = static_cast<int>(matched.size()) - 1;
+  const auto width = static_cast<std::size_t>(umax) + 1;
+
+  // A walk passes only through in-window matched L vertices (its last
+  // vertex may be free, but a free vertex only ends it): one row each.
+  if (row_.size() < mate.size()) row_.resize(mate.size());
+  std::uint32_t rows = 0;
+  for (const std::vector<Edge>& bucket : matched) {
+    for (const Edge& e : bucket) row_[e.u] = rows++;
+  }
+  for (GainLayer& layer : layers_) {
+    if (layer.gain.size() < rows * width) {
+      layer.gain.resize(rows * width, kNoGain);
+      layer.live.resize(rows, 0);
+    }
+  }
+  GainLayer* cur = &layers_[0];
+  GainLayer* next = &layers_[1];
+  const auto clear = [width](GainLayer& layer) {
+    for (const std::uint32_t r : layer.rows) {
+      std::fill_n(layer.gain.begin() + static_cast<std::ptrdiff_t>(r * width),
+                  width, kNoGain);
+      layer.live[r] = 0;
+    }
+    layer.rows.clear();
+  };
+
+  // A walk ending at v (tag tag_v) with sum(b) == s and gain g: a good
+  // pair of this depth if g >= 1; kept for the next sweep if v can go on
+  // (tag >= 1) and the budget left can still lift g to 1.
+  bool admitted = false;
+  const auto reach = [&](Vertex v, int tag_v, int s, int g) {
+    if (g >= 1) admitted = true;
+    if (tag_v < 1 || s >= umax || g + (umax - s) < 1) return;
+    const std::uint32_t r = row_[v];
+    if (!next->live[r]) {
+      next->live[r] = 1;
+      next->rows.push_back(r);
+    }
+    int& cell = next->gain[r * width + static_cast<std::size_t>(s)];
+    cell = std::max(cell, g);
+  };
+  const auto s_key = static_cast<std::uint64_t>(width);
+  // Groups are sorted by tag_u first; those from a free R vertex come
+  // first and only seed layer 1.
+  const std::size_t tagged_from = static_cast<std::size_t>(
+      std::lower_bound(group_keys.begin(), group_keys.end(),
+                       group_key(1, 0, 0, umax)) -
+      group_keys.begin());
+
+  std::size_t deepest = 0;
+  for (std::size_t layers = 2; layers <= max_layers; ++layers) {
+    admitted = false;
+    for (std::size_t i = layers == 2 ? 0 : tagged_from; i < group_keys.size();
+         ++i) {
+      const std::uint64_t key = group_keys[i];
+      const int tag_v = static_cast<int>(key % s_key);
+      const int b = static_cast<int>(key / s_key % s_key);
+      const int tag_u = static_cast<int>(key / s_key / s_key);
+      const std::span<const Arc> arcs(by_u.data() + group_begin[i],
+                                      by_u.data() + group_begin[i + 1]);
+      if (layers == 2) {
+        for (const Arc& a : arcs) reach(a.v, tag_v, b, b - tag_u - tag_v);
+        continue;
+      }
+      for (const Arc& a : arcs) {
+        // u's walks arrive at its mate, the L vertex of the layer before.
+        const std::uint32_t r = row_[mate[a.u]];
+        if (!cur->live[r]) continue;
+        const int* from = cur->gain.data() + r * width;
+        for (int s = 0; s + b <= umax; ++s) {
+          if (from[s] != kNoGain) reach(a.v, tag_v, s + b, from[s] + b - tag_v);
+        }
+      }
+    }
+    if (admitted) deepest = layers;
+    clear(*cur);
+    std::swap(cur, next);
+    if (cur->rows.empty()) break;
+  }
+  clear(*cur);
+  return deepest;
 }
 
 std::optional<LayeredGraph> LayeredGraphBuilder::build(

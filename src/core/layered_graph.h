@@ -83,8 +83,8 @@ CrossingEdges crossing_edges(const GraphView& g, const Matching& m,
 /// groups are stored, under sorted keys. Gap t of a pair is then exactly
 /// the group (tau_a[t], tau_b[t], tau_a[t+1]).
 ///
-/// A BucketedEdges answers one admits() call at a time: the reach walk
-/// keeps its stamps and frontiers in the object (a class's buckets live
+/// A BucketedEdges answers one admits() or max_admitted_layers() call at
+/// a time: both keep their scratch in the object (a class's buckets live
 /// on the class's own thread).
 struct BucketedEdges {
   Weight unit = 1;
@@ -123,6 +123,29 @@ struct BucketedEdges {
   /// find_class_augmentations passes it to pairs_for_values_if.
   bool admits(std::span<const int> tau_a, std::span<const int> tau_b) const;
 
+  /// The most layers (2..max_layers) of a Table 1-good pair that admits()
+  /// accepts, or 0 if no good pair is admitted. Good is taken under this
+  /// object's unit budget umax (sum(b) <= umax, sum(b) - sum(a) >= 1,
+  /// every b >= 1, interior a >= 1), the budget find_class_augmentations
+  /// buckets with, so the answer bounds the depth of every pair that
+  /// pairs_for_values_if keeps under admits.
+  ///
+  /// An admitted pair is the induced pair of a walk over the gap index:
+  /// an arc u -> v of group (tag_u, b, tag_v), then from v (tag >= 1; a
+  /// tag-0 vertex only ends a walk) its mate's arcs, and so on. A walk's
+  /// future depends only on its last L vertex and its sum(b), so a DP
+  /// keeps, per layer, the largest sum(b) - sum(a) for each (vertex,
+  /// sum(b)): layer 1 is seeded from every arc with b - tag_u - tag_v,
+  /// and each later sweep over the arcs from tagged R vertices extends
+  /// the mate's entries by b - tag_v. A depth is admitted iff some entry
+  /// reaches 1. Entries that cannot reach 1 within the remaining budget
+  /// are not kept, and the sweeps stop once a layer keeps none. A call
+  /// costs at most (max_layers - 1) * |index edges| * (umax + 1) steps;
+  /// its rows (one per in-window matched L vertex) live in the object
+  /// and are cleared on the way out, so a call allocates nothing once
+  /// they have grown.
+  std::size_t max_admitted_layers(std::size_t max_layers) const;
+
   /// Group i's key, ascending: (tag_u * (umax + 1) + b) * (umax + 1) +
   /// tag_v. Its edges are grouped[group_begin[i] .. group_begin[i + 1]).
   std::vector<std::uint64_t> group_keys;
@@ -151,6 +174,17 @@ struct BucketedEdges {
   mutable std::uint32_t epoch_ = 0;           ///< one value per walked layer
   mutable std::vector<Vertex> frontier_, next_;
   mutable std::vector<std::span<const Arc>> steps_;  ///< one per gap
+
+  /// One layer of max_admitted_layers' DP: gain[row * (umax + 1) + s] is
+  /// the best sum(b) - sum(a) of a walk ending at the row's vertex with
+  /// sum(b) == s. Every cell is kNoGain between calls.
+  struct GainLayer {
+    std::vector<int> gain;
+    std::vector<char> live;            ///< per row: some cell is set
+    std::vector<std::uint32_t> rows;   ///< the live rows
+  };
+  mutable std::vector<std::uint32_t> row_;  ///< per matched L vertex
+  mutable GainLayer layers_[2];
 };
 
 BucketedEdges bucket_edges(const CrossingEdges& edges, Weight unit, int umax);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/decompose.h"
+#include "obs/obs.h"
 #include "streaming/memory_meter.h"
 #include "util/require.h"
 
@@ -23,6 +24,31 @@ std::vector<Edge> translate_walk(const LayeredGraph& lg,
 }
 
 }  // namespace
+
+std::vector<TauPair> class_tau_pairs(const BucketedEdges& buckets,
+                                     const TauConfig& cfg, Rng& rng,
+                                     bool bounded) {
+  static obs::Counter& skips = obs::counter("solver.tau_sampler_skips");
+  const std::vector<int> a_vals = buckets.matched_values();
+  const std::vector<int> b_vals = buckets.unmatched_values();
+  std::size_t deepest = cfg.max_layers;
+  if (bounded) {
+    deepest = buckets.max_admitted_layers(cfg.max_layers);
+    // The sampler draws 3-layer pairs, then pairs of 4 layers and more,
+    // from non-empty value sets.
+    const std::size_t sampled = std::min<std::size_t>(cfg.max_layers, 4);
+    if (sampled >= 3 && deepest < sampled && !a_vals.empty() &&
+        !b_vals.empty()) {
+      skips.add();
+    }
+  }
+  return pairs_for_values_if(
+      a_vals, b_vals, cfg, rng,
+      [&buckets](std::span<const int> tau_a, std::span<const int> tau_b) {
+        return buckets.admits(tau_a, tau_b);
+      },
+      deepest);
+}
 
 SingleClassResult find_class_augmentations(const GraphView& g,
                                            const Matching& m,
@@ -68,12 +94,10 @@ SingleClassResult find_class_augmentations(const GraphView& g,
   meter.add(bucket_words);
 
   // Pairs whose L' cannot augment are dropped as they are drawn: every
-  // pair left builds and goes to the black box.
-  const std::vector<TauPair> pairs = pairs_for_values_if(
-      buckets.matched_values(), buckets.unmatched_values(), tau_cfg, rng,
-      [&buckets](std::span<const int> tau_a, std::span<const int> tau_b) {
-        return buckets.admits(tau_a, tau_b);
-      });
+  // pair left builds and goes to the black box. `rng` is read no more
+  // after the last parametrization's pairs, so only those are bounded.
+  const std::vector<TauPair> pairs =
+      class_tau_pairs(buckets, tau_cfg, rng, rep + 1 == reps);
 
   for (const TauPair& pair : pairs) {
     std::optional<LayeredGraph> built = builder.build(

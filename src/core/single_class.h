@@ -5,7 +5,9 @@
 // layered_graph.h), and enumerate the good (tau^A, tau^B) pairs, dropping
 // as they are drawn the useless ones, whose L' holds no augmenting path
 // (BucketedEdges::admits, a layer-0 -> layer-k reach walk over the gap
-// index). For every pair left, build the layered
+// index); on the last bipartition, samples deeper than any admitted good
+// pair (BucketedEdges::max_admitted_layers) are not even drawn. For
+// every pair left, build the layered
 // graph L' in O(|L'|), solve it with the unweighted bipartite
 // black box, extract the augmenting paths of
 // M' ∪ M_{L'}, translate them back to G, decompose every translated walk
@@ -64,12 +66,27 @@ struct SingleClassOptions {
   runtime::RuntimeConfig runtime;
 };
 
-/// The tau pairs are generated internally per class via
-/// pairs_for_values_if, restricted to the quantized weights that occur
-/// under this class's unit (see tau.h for the substitution rationale) and
-/// filtered by BucketedEdges::admits, so the draws are pairs_for_values'
-/// and the black box is called only on layered graphs that can augment;
-/// the augmentations are those of solving every pair (DESIGN.md §2).
+/// Algorithm 4's tau step under one parametrization: the good pairs over
+/// the buckets' value sets (pairs_for_values_if) that buckets.admits
+/// accepts, i.e. the pairs whose layered graph can augment, in
+/// pairs_for_values order. When `bounded`, the sampler is also bounded by
+/// buckets.max_admitted_layers(cfg.max_layers): the list is the same, but
+/// `rng` ends in an unspecified state, so the caller must not read it
+/// again. A bounded call whose bound leaves priority 4 or 5 undrawn
+/// (value sets non-empty, the max_pairs cap aside) adds one to the
+/// always-on solver.tau_sampler_skips counter.
+std::vector<TauPair> class_tau_pairs(const BucketedEdges& buckets,
+                                     const TauConfig& cfg, Rng& rng,
+                                     bool bounded);
+
+/// The tau pairs are generated internally per class via class_tau_pairs,
+/// restricted to the quantized weights that occur under this class's unit
+/// (see tau.h for the substitution rationale) and filtered by
+/// BucketedEdges::admits, so the black box is called only on layered
+/// graphs that can augment; the augmentations are those of solving every
+/// pair (DESIGN.md §2). The last parametrization's sampler is bounded, so
+/// `rng`'s final state is unspecified; every earlier draw, the pairs and
+/// the black-box calls are those of the unbounded step.
 SingleClassResult find_class_augmentations(const GraphView& g,
                                            const Matching& m,
                                            Weight w_class,

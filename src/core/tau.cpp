@@ -260,7 +260,9 @@ void emit_profiles(const std::vector<int>& a_vals,
 std::vector<TauPair> pairs_for_values_if(const std::vector<int>& a_vals_in,
                                          const std::vector<int>& b_vals_in,
                                          const TauConfig& cfg, Rng& rng,
-                                         const PairFilter& keep) {
+                                         const PairFilter& keep,
+                                         std::size_t max_kept_layers) {
+  if (max_kept_layers < 2) return {};
   const int umax = max_units(cfg);
   const std::vector<int> a_vals = unit_values(a_vals_in, umax);
   const std::vector<int> b_vals = unit_values(b_vals_in, umax);
@@ -292,7 +294,7 @@ std::vector<TauPair> pairs_for_values_if(const std::vector<int>& a_vals_in,
   };
 
   // --- Priority 4: random samples of the general 3-layer space. ---
-  if (cfg.max_layers >= 3) {
+  if (cfg.max_layers >= 3 && max_kept_layers >= 3) {
     const std::size_t budget = (cfg.max_pairs - out.emitted()) / 2;
     for (std::size_t trial = 0; trial < 6 * budget; ++trial) {
       int c[5];  // tau_a[0..3), tau_b[0..2)
@@ -308,7 +310,7 @@ std::vector<TauPair> pairs_for_values_if(const std::vector<int>& a_vals_in,
   }
 
   // --- Priority 5: random non-uniform deep profiles. ---
-  if (cfg.max_layers >= 4) {
+  if (cfg.max_layers >= 4 && max_kept_layers >= 4) {
     const std::size_t budget = cfg.max_pairs - out.emitted();
     const BoundedSampler pick_depth(cfg.max_layers - 3);
     for (std::size_t trial = 0; trial < 6 * budget; ++trial) {
@@ -337,15 +339,7 @@ std::vector<TauPair> pairs_for_values_if(const std::vector<int>& a_vals_in,
 std::vector<TauPair> pairs_for_values(const std::vector<int>& a_vals,
                                       const std::vector<int>& b_vals,
                                       const TauConfig& cfg, Rng& rng) {
-  return pairs_for_values_if(a_vals, b_vals, cfg, rng, {});
-}
-
-std::vector<TauPair> generate_good_pairs(const TauConfig& cfg, Rng& rng) {
-  const int umax = max_units(cfg);
-  std::vector<int> all;
-  all.reserve(static_cast<std::size_t>(umax));
-  for (int v = 1; v <= umax; ++v) all.push_back(v);
-  return pairs_for_values(all, all, cfg, rng);
+  return pairs_for_values_if(a_vals, b_vals, cfg, rng, {}, cfg.max_layers);
 }
 
 }  // namespace wmatch::core

@@ -11,8 +11,11 @@
 // used to prove worst-case completeness. We keep the *soundness* condition
 // exactly — sum(b) - sum(a) >= 1 unit, so every augmenting path found in a
 // layered graph has strictly positive gain — and generate a practical
-// family of pairs: exhaustive profiles for small k, uniform profiles for
-// longer paths/cycles, and weight-histogram-guided samples.
+// family of pairs over the unit values that occur in the class:
+// exhaustive profiles for small k, uniform profiles for longer
+// paths/cycles, and random samples. The reduction keeps only the pairs
+// whose layered graph can augment, and skips the samples of depths at
+// which no such pair exists (pairs_for_values_if's bound).
 #pragma once
 
 #include <functional>
@@ -51,12 +54,6 @@ struct TauConfig {
 /// sum(b) - sum(a) >= 1.
 bool is_good_pair(const TauPair& pair, const TauConfig& cfg);
 
-/// Generates good pairs over the full unit grid: exhaustive for 2 and 3
-/// layers (budget permitting), uniform profiles for deeper layered graphs,
-/// plus `rng`-sampled non-uniform deep profiles. All returned pairs
-/// satisfy is_good_pair.
-std::vector<TauPair> generate_good_pairs(const TauConfig& cfg, Rng& rng);
-
 /// Value-driven generation (the practical path used by Algorithm 4): the
 /// candidate thresholds are restricted to the quantized weights that
 /// actually occur in the graph for the class at hand — `a_vals` holds the
@@ -83,14 +80,24 @@ using PairFilter =
 /// pairs_for_values without the pairs `keep` rejects. `keep` is called
 /// once per distinct good pair, in output order, as the pair is drawn;
 /// the cap and the budgets still count every emitted pair, rejected ones
-/// and duplicates included. So the draws, the generator's final state
-/// and the order are pairs_for_values', and the result is its list with
-/// the rejected pairs removed. Candidates live in one flat buffer until
-/// the end; only the kept ones become TauPairs.
+/// and duplicates included. Candidates live in one flat buffer until the
+/// end; only the kept ones become TauPairs.
+///
+/// `max_kept_layers` is the caller's promise that `keep` accepts no good
+/// pair of more layers. The sampled priorities are drawn only at depths
+/// it allows: priority 4 (3 layers) not below 3, priority 5 (4 layers and
+/// more) not below 4, and a bound below 2 returns {} at once. The result
+/// is always pairs_for_values' list with the rejected pairs removed, in
+/// its order. With max_kept_layers >= min(cfg.max_layers, 4) nothing is
+/// skipped and the generator ends in pairs_for_values' state; otherwise
+/// it ends where the last priority drawn left it (untouched when the
+/// bound is below 3), so a caller that reads `rng` again passes
+/// cfg.max_layers.
 std::vector<TauPair> pairs_for_values_if(const std::vector<int>& a_vals,
                                          const std::vector<int>& b_vals,
                                          const TauConfig& cfg, Rng& rng,
-                                         const PairFilter& keep);
+                                         const PairFilter& keep,
+                                         std::size_t max_kept_layers);
 
 /// The unit budget ceil((1+slack)/granularity) (Table 1 property (E)).
 int max_units(const TauConfig& cfg);

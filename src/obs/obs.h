@@ -11,7 +11,9 @@
 //   cache.*    service::InstanceCache — cache.build spans; hits, misses,
 //              evictions, inserts counters; build_ms histogram
 //   solver.*   core::improve_matching_once — solver.round / solver.class
-//              spans; rounds counter
+//              spans; rounds counter; tau_sampler_skips counter
+//              (core::class_tau_pairs: bounded tau steps that skipped
+//              sampler priorities)
 //   hk.*       exact::hopcroft_karp  — hk.phase / hk.bfs / hk.dfs spans;
 //              phases counter
 //   exact.*    exact::blossom_max_weight — exact.blossom spans (arg: mode)

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -9,10 +10,13 @@
 #include "core/layered_graph.h"
 #include "core/main_alg.h"
 #include "core/matcher.h"
+#include "core/single_class.h"
 #include "gen/generators.h"
 #include "gen/weights.h"
 #include "graph/augmentation.h"
+#include "good_pairs.h"
 #include "hot_path.h"
+#include "obs/obs.h"
 #include "runtime/thread_pool.h"
 #include "sweep/presets.h"
 #include "util/rng.h"
@@ -185,7 +189,7 @@ TEST(LayeredGraphRandom, StructuralInvariants) {
   Parametrization par = core::random_parametrization(60, rng);
   CrossingEdges ce = core::crossing_edges(freeze(g), m, par);
   core::TauConfig tcfg;
-  auto pairs = core::generate_good_pairs(tcfg, rng);
+  auto pairs = test::generate_good_pairs(tcfg, rng);
   std::size_t checked = 0;
   for (const auto& tau : pairs) {
     if (checked > 60) break;
@@ -841,10 +845,12 @@ TEST(PairsForValuesIf, EqualsPairsForValuesFilteredByBuild) {
         std::size_t asked = 0;
         const std::vector<TauPair> got = core::pairs_for_values_if(
             buckets.matched_values(), buckets.unmatched_values(), tcfg,
-            if_rng, [&](std::span<const int> a, std::span<const int> b) {
+            if_rng,
+            [&](std::span<const int> a, std::span<const int> b) {
               ++asked;
               return buckets.admits(a, b);
-            });
+            },
+            tcfg.max_layers);
         ASSERT_EQ(got, want) << "instance " << inst << " class " << w_class
                              << " max_pairs " << cap;
         EXPECT_EQ(asked, distinct);  // once per distinct good pair
@@ -940,52 +946,54 @@ TEST(PairsForValuesIf, HotPathKernelChecksumMatchesReference) {
             bench::hot_path::tau_pairs_checksum(in, core::pairs_for_values));
 }
 
-/// find_class_augmentations under the usefulness rule before the reach
-/// test: every pairs_for_values pair whose layered graph has a Y edge is
-/// built (by reference_build) and solved. Otherwise the library's class
-/// step: same draws, same augmentation extraction, same selection.
-/// `calls` counts the black-box calls.
-std::vector<Augmentation> old_rule_class(const GraphView& g,
-                                         const Matching& m, Weight w_class,
-                                         const core::TauConfig& tau_cfg,
-                                         double delta,
-                                         core::UnweightedMatcher& matcher,
-                                         Rng& rng, std::size_t& calls) {
+/// find_class_augmentations from its public steps, with `reps`
+/// parametrizations: under each, every pair `pairs(buckets, rng)` returns
+/// is built by reference_build and, if its L' has a Y edge, solved. The
+/// augmentation extraction and the selection are the library's (cycles
+/// enabled). `calls` counts the black-box calls.
+template <typename PairsFn>
+std::vector<Augmentation> reference_class(const GraphView& g,
+                                          const Matching& m, Weight w_class,
+                                          const core::TauConfig& tau_cfg,
+                                          std::size_t reps, double delta,
+                                          core::UnweightedMatcher& matcher,
+                                          Rng& rng, std::size_t& calls,
+                                          PairsFn&& pairs) {
   const std::size_t n = g.num_vertices();
-  const Parametrization par = core::random_parametrization(n, rng);
-  const CrossingEdges crossing = core::crossing_edges(g, m, par);
-  if (crossing.unmatched.empty()) return {};
-  const core::BucketedEdges buckets = core::bucket_edges(
-      crossing, core::quantum(w_class, tau_cfg), core::max_units(tau_cfg));
   std::vector<Augmentation> candidates;
-  for (const TauPair& pair :
-       core::pairs_for_values(buckets.matched_values(),
-                              buckets.unmatched_values(), tau_cfg, rng)) {
-    const LayeredGraph lg = reference_build(buckets, m, par, pair, n);
-    if (lg.num_between_edges == 0) continue;
-    ++calls;
-    const Matching mprime = matcher.solve(lg.lprime, lg.side, delta);
-    for (Augmentation& comp :
-         symmetric_difference_components(mprime, lg.ml)) {
-      if (comp.is_cycle) continue;
-      std::size_t in_mprime = 0;
-      for (const Edge& e : comp.edges) in_mprime += mprime.contains(e);
-      if (2 * in_mprime <= comp.edges.size()) continue;
-      std::vector<Edge> walk;
-      for (const Edge& e : comp.edges) {
-        walk.push_back({lg.original[e.u], lg.original[e.v], e.w});
-      }
-      Augmentation best;
-      Weight best_gain = 0;
-      for (Augmentation& piece : core::decompose_walk(walk)) {
-        if (!piece.is_valid_alternating(m)) continue;
-        const Weight gain = piece.gain(m);
-        if (gain > best_gain) {
-          best_gain = gain;
-          best = std::move(piece);
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    const Parametrization par = core::random_parametrization(n, rng);
+    const CrossingEdges crossing = core::crossing_edges(g, m, par);
+    if (crossing.unmatched.empty()) continue;
+    const core::BucketedEdges buckets = core::bucket_edges(
+        crossing, core::quantum(w_class, tau_cfg), core::max_units(tau_cfg));
+    for (const TauPair& pair : pairs(buckets, rng)) {
+      const LayeredGraph lg = reference_build(buckets, m, par, pair, n);
+      if (lg.num_between_edges == 0) continue;
+      ++calls;
+      const Matching mprime = matcher.solve(lg.lprime, lg.side, delta);
+      for (Augmentation& comp :
+           symmetric_difference_components(mprime, lg.ml)) {
+        if (comp.is_cycle) continue;
+        std::size_t in_mprime = 0;
+        for (const Edge& e : comp.edges) in_mprime += mprime.contains(e);
+        if (2 * in_mprime <= comp.edges.size()) continue;
+        std::vector<Edge> walk;
+        for (const Edge& e : comp.edges) {
+          walk.push_back({lg.original[e.u], lg.original[e.v], e.w});
         }
+        Augmentation best;
+        Weight best_gain = 0;
+        for (Augmentation& piece : core::decompose_walk(walk)) {
+          if (!piece.is_valid_alternating(m)) continue;
+          const Weight gain = piece.gain(m);
+          if (gain > best_gain) {
+            best_gain = gain;
+            best = std::move(piece);
+          }
+        }
+        if (best_gain > 0) candidates.push_back(std::move(best));
       }
-      if (best_gain > 0) candidates.push_back(std::move(best));
     }
   }
   std::stable_sort(candidates.begin(), candidates.end(),
@@ -997,6 +1005,24 @@ std::vector<Augmentation> old_rule_class(const GraphView& g,
     chosen.push_back(std::move(candidates[i]));
   }
   return chosen;
+}
+
+/// find_class_augmentations under the usefulness rule before the reach
+/// test: every pairs_for_values pair whose layered graph has a Y edge is
+/// built and solved, under one parametrization.
+std::vector<Augmentation> old_rule_class(const GraphView& g,
+                                         const Matching& m, Weight w_class,
+                                         const core::TauConfig& tau_cfg,
+                                         double delta,
+                                         core::UnweightedMatcher& matcher,
+                                         Rng& rng, std::size_t& calls) {
+  return reference_class(
+      g, m, w_class, tau_cfg, 1, delta, matcher, rng, calls,
+      [&tau_cfg](const core::BucketedEdges& buckets, Rng& pair_rng) {
+        return core::pairs_for_values(buckets.matched_values(),
+                                      buckets.unmatched_values(), tau_cfg,
+                                      pair_rng);
+      });
 }
 
 /// maximum_weight_matching's round loop over old_rule_class, serial, with
@@ -1086,6 +1112,297 @@ TEST(ReachTest, ReductionMatchingsEqualBuildingEveryOldRulePair) {
       }
     }
   }
+}
+
+/// A maximal matching in a random edge order, or lightest edge first
+/// (`light`), which leaves heavy unmatched edges and so deep walks.
+Matching random_matching(const GraphView& g, Rng& rng, bool light = false) {
+  std::vector<Edge> order(g.edges().begin(), g.edges().end());
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.next_below(i)]);
+  }
+  if (light) {
+    std::stable_sort(order.begin(), order.end(),
+                     [](const Edge& x, const Edge& y) { return x.w < y.w; });
+  }
+  Matching m(g.num_vertices());
+  for (const Edge& e : order) {
+    if (!m.is_matched(e.u) && !m.is_matched(e.v)) m.add(e);
+  }
+  return m;
+}
+
+/// The most layers of a good pair on the buckets' value grid that admits
+/// accepts, by enumeration: every tau_b over the unmatched values with
+/// sum(b) <= umax, every tau_a over 0 + the matched values (interior
+/// ones positive) with sum(a) < sum(b), depths 2..max_layers.
+std::size_t brute_max_admitted_layers(const core::BucketedEdges& buckets,
+                                      const core::TauConfig& cfg) {
+  const int umax = core::max_units(cfg);
+  const std::vector<int> a_vals = buckets.matched_values();
+  const std::vector<int> b_vals = buckets.unmatched_values();
+  std::vector<int> a_ends{0};
+  a_ends.insert(a_ends.end(), a_vals.begin(), a_vals.end());
+  std::size_t deepest = 0;
+  TauPair pair;
+  for (std::size_t layers = 2; layers <= cfg.max_layers; ++layers) {
+    pair.tau_a.assign(layers, 0);
+    pair.tau_b.assign(layers - 1, 0);
+    bool found = false;
+    // Fill tau_b[t..], then tau_a[t..] once every b is set.
+    std::function<void(std::size_t, int)> fill_b, fill_a;
+    fill_a = [&](std::size_t t, int budget) {
+      if (found) return;
+      if (t == layers) {
+        ASSERT_TRUE(core::is_good_pair(pair, cfg));
+        if (buckets.admits(pair.tau_a, pair.tau_b)) found = true;
+        return;
+      }
+      for (int a : t == 0 || t + 1 == layers ? a_ends : a_vals) {
+        if (a > budget) break;
+        pair.tau_a[t] = a;
+        fill_a(t + 1, budget - a);
+      }
+    };
+    fill_b = [&](std::size_t t, int sum_b) {
+      if (t + 1 == layers) {
+        fill_a(0, sum_b - 1);
+        return;
+      }
+      for (int b : b_vals) {
+        if (sum_b + b > umax) break;
+        pair.tau_b[t] = b;
+        fill_b(t + 1, sum_b + b);
+      }
+    };
+    fill_b(0, 0);
+    if (found) deepest = layers;
+  }
+  return deepest;
+}
+
+TEST(MaxAdmittedLayers, EqualsBruteForceOnSmallConfigs) {
+  // Random graphs, matchings, parametrizations and class weights under
+  // unit budgets of 3..6 and depth limits 2..5: the DP's answer is the
+  // deepest good pair on the value grid that admits accepts.
+  Rng rng(61);
+  std::vector<std::size_t> seen(6, 0);
+  std::size_t cases = 0;
+  for (int inst = 0; inst < 120; ++inst) {
+    const std::size_t n = 12 + 6 * static_cast<std::size_t>(inst % 8);
+    Graph raw = gen::erdos_renyi(n, (2 + inst % 4) * n, rng);
+    const GraphView g = freeze(gen::assign_weights(
+        raw, inst % 3 ? gen::WeightDist::kUniform
+                      : gen::WeightDist::kExponential,
+        40, rng));
+    const Matching m = inst % 3 == 0 ? greedy_matching(g)
+                                     : random_matching(g, rng, inst % 3 == 1);
+    for (const double granularity : {1.0 / 3, 0.4, 0.5, 2.0 / 3}) {
+      core::TauConfig cfg;
+      cfg.granularity = granularity;
+      cfg.max_layers = 5 - static_cast<std::size_t>(cases % 6) % 4;
+      ASSERT_LE(core::max_units(cfg), 6);
+      const Weight w_class = 8 + static_cast<Weight>(rng.next_below(40));
+      const core::BucketedEdges buckets = core::bucket_edges(
+          core::crossing_edges(g, m, core::random_parametrization(n, rng)),
+          core::quantum(w_class, cfg), core::max_units(cfg));
+      const std::size_t want = brute_max_admitted_layers(buckets, cfg);
+      ASSERT_EQ(buckets.max_admitted_layers(cfg.max_layers), want)
+          << "instance " << inst << " granularity " << granularity
+          << " max_layers " << cfg.max_layers;
+      // A second call on the same object reuses its scratch.
+      ASSERT_EQ(buckets.max_admitted_layers(cfg.max_layers), want);
+      ++seen[want];
+      ++cases;
+    }
+  }
+  EXPECT_EQ(cases, 120u * 4u);
+  for (const std::size_t layers : {0, 2, 3, 4, 5}) {
+    EXPECT_GT(seen[layers], 0u) << "no case with bound " << layers;
+  }
+}
+
+TEST(PairsForValuesIf, BoundedListEqualsUnboundedOnDefaultConfig) {
+  // Random graphs, matchings, parametrizations and class weights under
+  // the default TauConfig: bounded by max_admitted_layers, the filtered
+  // list is the unbounded one. The generator ends where the unbounded
+  // call leaves it when nothing is skipped, and untouched when both
+  // sampled priorities are.
+  Rng rng(71);
+  const core::TauConfig cfg;
+  std::vector<std::size_t> seen(cfg.max_layers + 1, 0);
+  for (int inst = 0; inst < 12; ++inst) {
+    const std::size_t n = 40 + 30 * static_cast<std::size_t>(inst % 6);
+    Graph raw = gen::erdos_renyi(n, (3 + inst % 3) * n, rng);
+    const GraphView g = freeze(gen::assign_weights(
+        raw, inst % 2 ? gen::WeightDist::kExponential
+                      : gen::WeightDist::kUniform,
+        400, rng));
+    const Matching m = inst % 3 ? greedy_matching(g) : random_matching(g, rng);
+    for (const Weight w_class : {Weight{100}, Weight{400}, Weight{1600},
+                                 Weight{3200}}) {
+      const core::BucketedEdges buckets = core::bucket_edges(
+          core::crossing_edges(g, m, core::random_parametrization(n, rng)),
+          core::quantum(w_class, cfg), core::max_units(cfg));
+      const auto keep = [&buckets](std::span<const int> a,
+                                   std::span<const int> b) {
+        return buckets.admits(a, b);
+      };
+      const std::size_t bound = buckets.max_admitted_layers(cfg.max_layers);
+      const std::uint64_t seed = rng.next();
+      Rng all_rng(seed), bounded_rng(seed);
+      const std::vector<TauPair> want = core::pairs_for_values_if(
+          buckets.matched_values(), buckets.unmatched_values(), cfg, all_rng,
+          keep, cfg.max_layers);
+      const std::vector<TauPair> got = core::pairs_for_values_if(
+          buckets.matched_values(), buckets.unmatched_values(), cfg,
+          bounded_rng, keep, bound);
+      ASSERT_EQ(got, want) << "instance " << inst << " class " << w_class
+                           << " bound " << bound;
+      if (bound >= 4) {
+        EXPECT_EQ(bounded_rng.next(), all_rng.next());
+      } else if (bound < 3) {
+        EXPECT_EQ(bounded_rng.next(), Rng(seed).next());
+      }
+      ++seen[bound];
+    }
+  }
+  EXPECT_GT(seen[0], 0u);
+  EXPECT_GT(seen[3], 0u);
+  EXPECT_GT(seen[4], 0u);
+}
+
+TEST(PairsForValuesIf, BoundOfFourStillDrawsPriorityFive) {
+  // One alternating path R0 -25- L1 =10= R1 -15- L2 =10= R2 -25- L3 under
+  // unit 10: its only 4-layer pair, ((0,1,1,0), (2,1,2)), is not a
+  // uniform profile, so only priority 5 draws it; no walk is deeper, so
+  // the bound is 4 and priority 5 must still run. The lone matched edge
+  // L6 =145= R7 (bucket 15) makes most 3-layer samples fail Table 1, so
+  // priority 4 leaves budget for priority 5.
+  Graph raw(8);
+  raw.add_edge(0, 1, 25);
+  raw.add_edge(1, 2, 10);
+  raw.add_edge(2, 3, 15);
+  raw.add_edge(3, 4, 10);
+  raw.add_edge(4, 5, 25);
+  raw.add_edge(6, 7, 145);
+  const GraphView g = freeze(std::move(raw));
+  Matching m(8);
+  m.add(1, 2, 10);
+  m.add(3, 4, 10);
+  m.add(6, 7, 145);
+  const Parametrization par{1, 0, 1, 0, 1, 0, 0, 1};
+  const core::TauConfig cfg;
+  const core::BucketedEdges buckets = core::bucket_edges(
+      core::crossing_edges(g, m, par), core::quantum(80, cfg),
+      core::max_units(cfg));
+  ASSERT_EQ(buckets.unit, 10);
+  ASSERT_EQ(buckets.max_admitted_layers(cfg.max_layers), 4u);
+  const auto keep = [&buckets](std::span<const int> a,
+                               std::span<const int> b) {
+    return buckets.admits(a, b);
+  };
+  Rng all_rng(5), bounded_rng(5);
+  const std::vector<TauPair> want = core::pairs_for_values_if(
+      buckets.matched_values(), buckets.unmatched_values(), cfg, all_rng, keep,
+      cfg.max_layers);
+  const TauPair deep{{0, 1, 1, 0}, {2, 1, 2}};
+  ASSERT_NE(std::find(want.begin(), want.end(), deep), want.end());
+  EXPECT_EQ(core::pairs_for_values_if(buckets.matched_values(),
+                                      buckets.unmatched_values(), cfg,
+                                      bounded_rng, keep, 4),
+            want);
+  EXPECT_EQ(bounded_rng.next(), all_rng.next());
+}
+
+TEST(ClassTauPairs, BoundedLastParametrizationKeepsAugmentationsAndCalls) {
+  // find_class_augmentations with 1 and 3 parametrizations returns the
+  // augmentations, and makes the black-box calls, of a reference whose
+  // tau step is never bounded; the bound skipped sampling in some cases.
+  obs::Counter& skips = obs::counter("solver.tau_sampler_skips");
+  const std::uint64_t skips_before = skips.value();
+  Rng rng(81);
+  std::size_t cases = 0, augmentations = 0;
+  for (int inst = 0; inst < 6; ++inst) {
+    const std::size_t n = 40 + 40 * static_cast<std::size_t>(inst);
+    Graph raw = gen::erdos_renyi(n, 4 * n, rng);
+    const GraphView g = freeze(gen::assign_weights(
+        raw, inst % 2 ? gen::WeightDist::kExponential
+                      : gen::WeightDist::kUniform,
+        300, rng));
+    const Matching m = inst % 2 ? greedy_matching(g) : random_matching(g, rng);
+    for (const std::size_t reps : {std::size_t{1}, std::size_t{3}}) {
+      for (const Weight w_class : {Weight{150}, Weight{600}, Weight{2400}}) {
+        const core::TauConfig cfg;
+        core::SingleClassOptions opts;
+        opts.parametrizations = reps;
+        const std::uint64_t seed = rng.next();
+        core::HkStreamingMatcher got_hk, want_hk;
+        Rng got_rng(seed), want_rng(seed);
+        const core::SingleClassResult got = core::find_class_augmentations(
+            g, m, w_class, cfg, opts, got_hk, got_rng);
+        std::size_t calls = 0;
+        const std::vector<Augmentation> want = reference_class(
+            g, m, w_class, cfg, reps, opts.delta, want_hk, want_rng, calls,
+            [&cfg](const core::BucketedEdges& buckets, Rng& pair_rng) {
+              return core::pairs_for_values_if(
+                  buckets.matched_values(), buckets.unmatched_values(), cfg,
+                  pair_rng,
+                  [&buckets](std::span<const int> a, std::span<const int> b) {
+                    return buckets.admits(a, b);
+                  },
+                  cfg.max_layers);
+            });
+        ASSERT_EQ(got.augmentations.size(), want.size())
+            << "instance " << inst << " reps " << reps << " class "
+            << w_class;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got.augmentations[i].edges, want[i].edges);
+          EXPECT_EQ(got.augmentations[i].is_cycle, want[i].is_cycle);
+        }
+        EXPECT_EQ(got.layered_graphs, calls);
+        EXPECT_EQ(got_hk.invocations(), want_hk.invocations());
+        augmentations += want.size();
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 6u * 2u * 3u);
+  EXPECT_GT(augmentations, 0u);
+  EXPECT_GT(skips.value(), skips_before);
+}
+
+TEST(ClassTauPairs, HotPathKernelChecksumMatchesTauUseful) {
+  // bench_micro_kernels' tau-bounded kernel keeps tau-useful's pairs, in
+  // order, class by class; one skip is counted per class whose bound
+  // leaves priority 4 or 5 undrawn.
+  using bench::hot_path::ClassInput;
+  const bench::hot_path::Inputs in = bench::hot_path::ci_bipartite_inputs();
+  std::uint64_t want_skips = 0;
+  for (const ClassInput& c : in.classes) {
+    const std::size_t sampled = std::min<std::size_t>(in.tau.max_layers, 4);
+    if (!c.a_vals.empty() && !c.b_vals.empty() &&
+        c.buckets.max_admitted_layers(in.tau.max_layers) < sampled) {
+      ++want_skips;
+    }
+  }
+  EXPECT_GT(want_skips, 0u);
+  obs::Counter& skips = obs::counter("solver.tau_sampler_skips");
+  const std::uint64_t before = skips.value();
+  const std::uint64_t got = bench::hot_path::tau_bounded_checksum(in);
+  EXPECT_EQ(skips.value() - before, want_skips);
+  const std::uint64_t want = bench::hot_path::class_pairs_checksum(
+      in,
+      [&](const ClassInput& c, Rng& rng) {
+        return core::pairs_for_values_if(
+            c.a_vals, c.b_vals, in.tau, rng,
+            [&c](std::span<const int> a, std::span<const int> b) {
+              return c.buckets.admits(a, b);
+            },
+            in.tau.max_layers);
+      },
+      false);
+  EXPECT_EQ(got, want);
 }
 
 }  // namespace

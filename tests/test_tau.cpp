@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "core/tau.h"
+#include "good_pairs.h"
 #include "hot_path.h"
 #include "util/rng.h"
 
@@ -190,7 +191,7 @@ TEST(Tau, GeneratedPairsAllGoodAndUnique) {
   TauConfig cfg;
   cfg.max_pairs = 800;
   Rng rng(1);
-  auto pairs = core::generate_good_pairs(cfg, rng);
+  auto pairs = test::generate_good_pairs(cfg, rng);
   EXPECT_GT(pairs.size(), 20u);
   EXPECT_LE(pairs.size(), cfg.max_pairs);
   for (const auto& p : pairs) {
@@ -203,7 +204,7 @@ TEST(Tau, GenerationCoversDeepLayers) {
   TauConfig cfg;
   cfg.max_layers = 8;
   Rng rng(2);
-  auto pairs = core::generate_good_pairs(cfg, rng);
+  auto pairs = test::generate_good_pairs(cfg, rng);
   ASSERT_FALSE(pairs.empty());
   std::size_t deepest = 0;
   for (const auto& p : pairs) deepest = std::max(deepest, p.num_layers());
@@ -214,7 +215,7 @@ TEST(Tau, BudgetCapRespected) {
   TauConfig cfg;
   cfg.max_pairs = 50;
   Rng rng(3);
-  auto pairs = core::generate_good_pairs(cfg, rng);
+  auto pairs = test::generate_good_pairs(cfg, rng);
   EXPECT_LE(pairs.size(), 50u);
 }
 
@@ -246,7 +247,7 @@ TEST(Tau, SoundnessInequalityInWeights) {
   TauConfig cfg;
   cfg.max_pairs = 600;
   Rng rng(4);
-  auto pairs = core::generate_good_pairs(cfg, rng);
+  auto pairs = test::generate_good_pairs(cfg, rng);
   const Weight unit = 7;
   for (const auto& p : pairs) {
     Weight min_gain =
